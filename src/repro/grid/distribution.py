@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import DistributionError
-from ..sparse.matrix import INDEX_DTYPE, SparseMatrix
+from ..errors import DistributionError, FormatError
+from ..sparse.matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
 from ..sparse.ops import split_bounds, submatrix
 from .grid3d import ProcGrid3D
 
@@ -148,21 +148,61 @@ def gather_tiles(
     nrows: int, ncols: int, pieces
 ) -> SparseMatrix:
     """Assemble a global matrix from ``(row_offset, col_offset, tile)``
-    triples.  Tiles must not overlap (duplicate coordinates raise)."""
-    rows_parts = []
-    cols_parts = []
-    vals_parts = []
-    for r0, c0, tile in pieces:
-        if tile.nnz == 0:
-            continue
-        rows_parts.append(tile.rowidx + np.int64(r0))
-        cols_parts.append(tile.col_indices() + np.int64(c0))
-        vals_parts.append(tile.values)
-    if not rows_parts:
+    triples.  Tiles must not overlap (duplicate coordinates raise).
+
+    The pieces are placed in O(nnz) without a global sort: a per-column
+    fill cursor copies each tile's columns into place, walking the tiles
+    in ``(col_offset, row_offset)`` order, so tiles whose row ranges are
+    disjoint land sorted within every column.  Column sets may interleave
+    (full-height per-batch matrices).  When the placed result is not
+    sorted within its columns — tiles whose row ranges overlap while their
+    coordinates do not — or a tile lies outside the output, the pieces go
+    through the COO path, which sorts and raises for overlap or range.
+    """
+    pieces = [(int(r0), int(c0), tile) for r0, c0, tile in pieces if tile.nnz]
+    if not pieces:
         return SparseMatrix.empty(nrows, ncols)
-    rows = np.concatenate(rows_parts)
-    cols = np.concatenate(cols_parts)
-    vals = np.concatenate(vals_parts)
+    matrix = _place_tiles(nrows, ncols, pieces)
+    return matrix if matrix is not None else _gather_coo(nrows, ncols, pieces)
+
+
+def _place_tiles(nrows: int, ncols: int, pieces) -> SparseMatrix | None:
+    """Counting placement; ``None`` when a tile lies outside the output or
+    the placed result fails validation (e.g. is not sorted within columns),
+    and the caller then takes the COO path."""
+    if not all(
+        r0 >= 0 and c0 >= 0 and r0 + t.nrows <= nrows and c0 + t.ncols <= ncols
+        for r0, c0, t in pieces
+    ):
+        return None
+    pieces = sorted(pieces, key=lambda p: (p[1], p[0]))
+    counts = np.zeros(ncols, dtype=INDEX_DTYPE)
+    for _, c0, tile in pieces:
+        counts[c0:c0 + tile.ncols] += np.diff(tile.indptr)
+    indptr = np.zeros(ncols + 1, dtype=INDEX_DTYPE)
+    np.cumsum(counts, out=indptr[1:])
+    rowidx = np.empty(int(indptr[-1]), dtype=INDEX_DTYPE)
+    values = np.empty(rowidx.shape[0], dtype=VALUE_DTYPE)
+    cursor = indptr[:-1].copy()
+    for r0, c0, tile in pieces:
+        tile = tile.sort_indices()
+        c1 = c0 + tile.ncols
+        lens = np.diff(tile.indptr)
+        dst = np.repeat(cursor[c0:c1] - tile.indptr[:-1], lens)
+        dst += np.arange(tile.nnz, dtype=INDEX_DTYPE)
+        rowidx[dst] = tile.rowidx + np.int64(r0)
+        values[dst] = tile.values
+        cursor[c0:c1] += lens
+    try:
+        return SparseMatrix(nrows, ncols, indptr, rowidx, values)
+    except FormatError:
+        return None
+
+
+def _gather_coo(nrows: int, ncols: int, pieces) -> SparseMatrix:
+    rows = np.concatenate([t.rowidx + np.int64(r0) for r0, _, t in pieces])
+    cols = np.concatenate([t.col_indices() + np.int64(c0) for _, c0, t in pieces])
+    vals = np.concatenate([t.values for _, _, t in pieces])
     try:
         return SparseMatrix.from_coo(
             nrows, ncols, rows, cols, vals, sum_duplicates=False

@@ -6,7 +6,7 @@ import numpy as np
 
 from ..errors import ShapeError
 from ..utils.rng import as_rng
-from .matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix
+from .matrix import INDEX_DTYPE, VALUE_DTYPE, SparseMatrix, sorted_unique
 
 
 def zeros(nrows: int, ncols: int) -> SparseMatrix:
@@ -116,10 +116,10 @@ def random_sparse(
     if nnz > total // 2:
         flat = rng.permutation(total)[:nnz]
     else:
-        flat = np.unique(rng.integers(0, total, size=int(nnz * 1.3) + 16))
+        flat = sorted_unique(rng.integers(0, total, size=int(nnz * 1.3) + 16))
         while flat.shape[0] < nnz:
             extra = rng.integers(0, total, size=nnz)
-            flat = np.unique(np.concatenate([flat, extra]))
+            flat = sorted_unique(np.concatenate([flat, extra]))
         flat = rng.permutation(flat)[:nnz]
     rows, cols = np.divmod(flat, ncols)
     vals = _draw_values(rng, nnz, values)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..matrix import INDEX_DTYPE, VALUE_DTYPE
+from ..matrix import INDEX_DTYPE, VALUE_DTYPE, sorted_unique
 from ..semiring import PLUS_TIMES, Semiring
 
 
@@ -89,7 +89,7 @@ class SpAccumulator:
         values = self._values
         fresh = stamp[rows] != gen
         if fresh.any():
-            new_rows = np.unique(rows[fresh])
+            new_rows = sorted_unique(rows[fresh])
             stamp[new_rows] = gen
             values[new_rows] = 0.0 if self._add is np.add else np.nan
             self._occupied.extend(new_rows.tolist())

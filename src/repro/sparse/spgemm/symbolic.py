@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ...errors import ShapeError
-from ..matrix import INDEX_DTYPE, SparseMatrix
+from ..matrix import INDEX_DTYPE, SparseMatrix, sorted_unique
 
 
 def _check(a: SparseMatrix, b: SparseMatrix) -> None:
@@ -58,7 +58,7 @@ def symbolic_nnz(a: SparseMatrix, b: SparseMatrix) -> int:
     keys = _expanded_keys(a, b)
     if keys.shape[0] == 0:
         return 0
-    return int(np.unique(keys).shape[0])
+    return int(sorted_unique(keys).shape[0])
 
 
 def symbolic_per_column(
@@ -74,7 +74,7 @@ def symbolic_per_column(
     np.add.at(flops_per_col, b.col_indices(), per_entry)
     keys = _expanded_keys(a, b)
     if keys.shape[0]:
-        uniq = np.unique(keys)
+        uniq = sorted_unique(keys)
         out_cols = uniq // np.int64(max(a.nrows, 1))
         nnz_per_col += np.bincount(
             out_cols, minlength=b.ncols
@@ -93,7 +93,7 @@ def symbolic_pattern(a: SparseMatrix, b: SparseMatrix) -> SparseMatrix:
     keys = _expanded_keys(a, b)
     if keys.shape[0] == 0:
         return SparseMatrix.empty(a.nrows, b.ncols)
-    uniq = np.unique(keys)
+    uniq = sorted_unique(keys)
     n = np.int64(max(a.nrows, 1))
     cols = uniq // n
     rows = uniq - cols * n
