@@ -34,6 +34,8 @@ from ..grid.distribution import (
     gather_tiles,
 )
 from ..grid.grid3d import ProcGrid3D
+from ..mem import MemoryLedger
+from ..plan.spec import ExecPlan, ExecSpec, _registry_name
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import run_spmd
 from ..simmpi.tracker import CommTracker
@@ -459,7 +461,6 @@ class DistContext:
             faults=faults,
             checksums=checksums,
         )
-        ran_batches = per_rank[0]["batches"]
         # Each rank's batch pieces are contiguous in global column space
         # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
         # order and record the realised ranges.
@@ -475,23 +476,7 @@ class DistContext:
         standard = _standard_ranges("A", self.grid, ha.nrows, hb.ncols)
         layout = "A" if ranges == standard else "C"
         handle = self._register(new_tiles, ha.nrows, hb.ncols, layout, ranges)
-        from ..mem import MemoryLedger
-
-        info = dict(per_rank[0]["info"], resident=True)
-        info["memory"] = MemoryLedger.merge_reports(
-            [r["info"]["memory"] for r in per_rank]
-        )
-        info["plan"] = self._resolved_plan(spec, plan_src, info, ran_batches)
-        result = SummaResult(
-            matrix=None,
-            grid=self.grid,
-            batches=ran_batches,
-            step_times=StepTimes.critical_path(r["times"] for r in per_rank),
-            per_rank_times=[r["times"] for r in per_rank],
-            tracker=self.tracker,
-            max_local_bytes=max(r["max_local_bytes"] for r in per_rank),
-            info=info,
-        )
+        result = self._result(per_rank, spec, plan_src)
         return handle, result
 
     def spmm(
@@ -564,30 +549,13 @@ class DistContext:
             keep_pieces=True,
             max_retries=max_retries,
         )
-        ran_batches = per_rank[0]["batches"]
         pieces = [
             (r0, c0, tile)
             for r in per_rank
             for (_batch, r0, c0, tile) in r["pieces"]
         ]
         y = gather_dense_tiles(ha.nrows, x.shape[1], pieces)
-        from ..mem import MemoryLedger
-
-        info = dict(per_rank[0]["info"], resident=True)
-        info["memory"] = MemoryLedger.merge_reports(
-            [r["info"]["memory"] for r in per_rank]
-        )
-        info["plan"] = self._resolved_plan(spec, plan_src, info, ran_batches)
-        result = SummaResult(
-            matrix=None,
-            grid=self.grid,
-            batches=ran_batches,
-            step_times=StepTimes.critical_path(r["times"] for r in per_rank),
-            per_rank_times=[r["times"] for r in per_rank],
-            tracker=self.tracker,
-            max_local_bytes=max(r["max_local_bytes"] for r in per_rank),
-            info=info,
-        )
+        result = self._result(per_rank, spec, plan_src)
         return y, result
 
     # ------------------------------------------------------------------ #
@@ -598,8 +566,7 @@ class DistContext:
         """Resolve ``plan=`` or loose knobs to the spec a resident run
         executes — the same funnel :func:`~repro.summa.run_plan` uses,
         with the context's grid/world/timeout overriding the slot-level
-        fields either way."""
-        from ..plan.spec import ExecSpec
+        fields either way, validated before any rank starts."""
         from ..summa.batched import _plan_to_spec
 
         plan_src = None
@@ -613,33 +580,37 @@ class DistContext:
             timeout=self.timeout,
             world=self.world,
             transport=self.transport,
-        )
+        ).validate()
         return spec, plan_src
 
-    def _resolved_plan(self, spec, plan_src, info: dict, ran_batches) -> dict:
-        """The ``info["plan"]`` record of a resident run — the executed
-        spec with the realised batch count and backend pinned, keeping
-        the originating plan's provenance when one was passed."""
-        from ..plan.spec import ExecPlan, _registry_name
-
-        backend = info.get("comm_backend", _registry_name(spec.comm_backend))
-        prov = dict(plan_src.provenance) if plan_src is not None else {}
-        prov.setdefault("mode", "resident")
-        return ExecPlan(
-            layers=self.grid.layers,
-            batches=int(ran_batches),
-            predicted_seconds=(
-                plan_src.predicted_seconds if plan_src is not None else None
+    def _result(self, per_rank, spec, plan_src) -> SummaResult:
+        """The :class:`SummaResult` of a resident run: per-rank memory
+        reports merged into one block, and the executed plan recorded in
+        ``info["plan"]`` (provenance mode ``"resident"`` unless the
+        originating plan carried one)."""
+        ran_batches = per_rank[0]["batches"]
+        info = dict(per_rank[0]["info"], resident=True)
+        info["memory"] = MemoryLedger.merge_reports(
+            [r["info"]["memory"] for r in per_rank]
+        )
+        info["plan"] = ExecPlan.executed(
+            spec, plan_src,
+            batches=ran_batches,
+            backend=info.get(
+                "comm_backend", _registry_name(spec.comm_backend)
             ),
-            candidates=plan_src.candidates if plan_src is not None else (),
-            backend=backend,
-            predicted_memory=(
-                plan_src.predicted_memory if plan_src is not None else None
-            ),
-            spec=spec.amended(batches=int(ran_batches), comm_backend=backend),
-            provenance=prov,
-            revision=plan_src.revision if plan_src is not None else 0,
+            mode="resident",
         ).to_dict()
+        return SummaResult(
+            matrix=None,
+            grid=self.grid,
+            batches=ran_batches,
+            step_times=StepTimes.critical_path(r["times"] for r in per_rank),
+            per_rank_times=[r["times"] for r in per_rank],
+            tracker=self.tracker,
+            max_local_bytes=max(r["max_local_bytes"] for r in per_rank),
+            info=info,
+        )
 
     def _register(self, tiles, nrows, ncols, layout, ranges) -> DistMatrixHandle:
         key = next(self._next_key)

@@ -75,11 +75,11 @@ def nbytes_of(obj) -> int:
     """Uniform ``nbytes`` protocol: the tracked size of ``obj`` in bytes.
 
     Anything with an ``nbytes`` attribute (:class:`~repro.sparse.SparseMatrix`
-    at ``r`` bytes per nonzero, :class:`~repro.sparse.dcsc.DcscMatrix`,
-    numpy arrays) reports it directly; memoryviews report their mapped
-    extent; lists/tuples sum their elements; ``None`` is free.  This is
-    the one place that decides how an object is priced, so every layer
-    charges the same number for the same thing.
+    at ``r`` bytes per nonzero, numpy arrays) reports it directly;
+    memoryviews report their mapped extent; lists/tuples sum their
+    elements; ``None`` is free.  This is the one place that decides how
+    an object is priced, so every layer charges the same number for the
+    same thing.
 
     Zero-copy process-world receives deliver arrays that *view* a shared
     segment (``repro.mp``).  They price identically to owned arrays —

@@ -40,7 +40,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 
-from ..errors import PlannerError, ShapeError
+from ..errors import DistributionError, PlannerError, ShapeError
 from ..simmpi.comm import DEFAULT_TIMEOUT
 from ..sparse.matrix import BYTES_PER_NONZERO
 
@@ -49,9 +49,6 @@ SPEC_VERSION = 1
 
 #: supported settings of the ``replan=`` knob.
 REPLAN_MODES = ("off", "auto")
-
-#: ``world=`` values accepted by the drivers (mirrors ``repro.simmpi.engine``).
-_WORLDS = ("threads", "processes")
 
 
 def _registry_name(value):
@@ -173,11 +170,43 @@ class ExecSpec:
 
         Raises the same exception types (and messages) the drivers
         historically raised, so existing callers' error handling holds.
+        Every registry-valued knob (kernel, suite, semiring, comm
+        backend, batch scheme, merge policy, world, transport) resolves
+        through the registry the SPMD core uses, so a bad name fails here,
+        once, before any rank starts.
         """
+        from ..comm.backend import get_backend
+        from ..grid.distribution import BATCH_SCHEMES
+        from ..kernels import get_kernel
         from ..mem import ENFORCE_MODES
+        from ..mp.transport import get_transport
         from ..resilience import HEAL_MODES
+        from ..simmpi.engine import WORLDS
+        from ..sparse.semiring import get_semiring
+        from ..sparse.spgemm.suite import get_suite
+        from ..summa.core import MERGE_POLICIES
         from ..summa.exec import OVERLAP_MODES
 
+        get_kernel(self.kernel)
+        get_suite(self.suite)
+        get_semiring(self.semiring)
+        if self.comm_backend != "auto":
+            get_backend(self.comm_backend)
+        if self.batch_scheme not in BATCH_SCHEMES:
+            raise DistributionError(
+                f"unknown batch scheme {self.batch_scheme!r}; "
+                f"available: {BATCH_SCHEMES}"
+            )
+        if self.merge_policy not in MERGE_POLICIES:
+            raise ValueError(
+                f"unknown merge policy {self.merge_policy!r}; "
+                "expected 'deferred' or 'incremental'"
+            )
+        if self.world not in WORLDS:
+            raise ValueError(
+                f"unknown world {self.world!r}; expected one of {WORLDS}"
+            )
+        get_transport(self.transport)
         if self.batches is not None and self.batches < 1:
             raise ShapeError(f"batches must be >= 1, got {self.batches}")
         if self.overlap not in OVERLAP_MODES:
@@ -303,10 +332,9 @@ class ExecPlan:
     """A resolved :class:`ExecSpec`: the chosen configuration plus the
     model's predictions and the provenance of the choice.
 
-    Attribute-compatible with the historical ``PlanChoice`` (which is now
-    a deprecated alias of this class): ``layers``, ``batches``,
-    ``predicted_seconds``, ``candidates``, ``backend`` and
-    ``predicted_memory`` keep their meaning and positional order.
+    ``layers``, ``batches``, ``predicted_seconds``, ``candidates``,
+    ``backend`` and ``predicted_memory`` are the auto-tuner's choice and
+    scores, in this positional order.
 
     ``provenance`` records *how* the plan was chosen — ``{"mode":
     "explicit" | "auto" | "replan", ...}`` with mode-specific detail
@@ -329,6 +357,44 @@ class ExecPlan:
     # ------------------------------------------------------------------ #
     # derivation
     # ------------------------------------------------------------------ #
+
+    @classmethod
+    def executed(cls, spec: ExecSpec, source: "ExecPlan | None" = None, *,
+                 batches: int, backend: str, mode: str,
+                 replans=()) -> "ExecPlan":
+        """The record of what a finished run executed — the single
+        constructor of every result's ``info["plan"]``.
+
+        ``spec`` is the executed spec; the realised ``batches`` and
+        ``backend`` are pinned into it.  The predictions and provenance
+        of ``source`` (the plan the caller passed, if any) carry over,
+        with ``mode`` (``"explicit"`` or ``"resident"``) filled in when
+        the source recorded none.  Mid-run ``replans`` are appended to the
+        provenance, set its mode to ``"replan"`` and each bump the
+        revision.
+        """
+        prov = dict(source.provenance) if source is not None else {}
+        prov.setdefault("mode", mode)
+        if replans:
+            prov["replans"] = list(prov.get("replans", ())) + list(replans)
+            prov["mode"] = "replan"
+        return cls(
+            layers=spec.layers,
+            batches=int(batches),
+            predicted_seconds=(
+                source.predicted_seconds if source is not None else None
+            ),
+            candidates=source.candidates if source is not None else (),
+            backend=backend,
+            predicted_memory=(
+                source.predicted_memory if source is not None else None
+            ),
+            spec=spec.amended(batches=int(batches), comm_backend=backend),
+            provenance=prov,
+            revision=(
+                (source.revision if source is not None else 0) + len(replans)
+            ),
+        )
 
     def with_spec(self, **changes) -> "ExecPlan":
         """A copy whose embedded spec has ``changes`` applied — the hook

@@ -1,7 +1,7 @@
 """Structural matrix sketches — the plan cache's identity of an operand.
 
-A plan (:class:`~repro.summa.planner.PlanChoice`) depends on an operand
-only through its *structure*: dimensions and the nonzero pattern that the
+A plan (:class:`~repro.plan.ExecPlan`) depends on an operand only
+through its *structure*: dimensions and the nonzero pattern that the
 symbolic statistics (``nnz``, ``flops``, compression factor) are computed
 from.  Values never enter ``auto_config``, so two matrices with the same
 pattern and different values must hash to the same sketch — that is what

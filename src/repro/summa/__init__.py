@@ -17,7 +17,13 @@ execution-plan IR of :mod:`repro.summa.exec` and run under either the
 with structured per-op tracing from :mod:`repro.summa.trace`.
 """
 
-from .batched import batched_summa3d, batched_summa3d_rows, run_plan
+from .batched import (
+    batched_summa3d,
+    batched_summa3d_rows,
+    run_plan,
+    summa2d,
+    summa3d,
+)
 from .exec import (
     OVERLAP_MODES,
     ExecutionPlan,
@@ -28,7 +34,6 @@ from .exec import (
     get_executor,
 )
 from .planner import (
-    PlanChoice,
     auto_config,
     batches_lower_bound,
     batches_upper_bound,
@@ -36,8 +41,6 @@ from .planner import (
     recommend_layers,
 )
 from .result import SummaResult, SymbolicResult
-from .summa2d import summa2d
-from .summa3d import summa3d
 from .symbolic3d import symbolic3d
 from .trace import (
     TraceSpan,
@@ -59,7 +62,6 @@ __all__ = [
     "SummaResult",
     "SymbolicResult",
     "auto_config",
-    "PlanChoice",
     "batches_lower_bound",
     "batches_upper_bound",
     "choose_backend",

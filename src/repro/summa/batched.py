@@ -8,11 +8,13 @@ distributed symbolic step (Alg. 3) chooses ``b`` exactly as the paper does.
 The run configuration is a first-class value: :func:`run_plan` executes
 an :class:`~repro.plan.ExecSpec` (or a resolved
 :class:`~repro.plan.ExecPlan`), and the classic keyword surfaces —
-:func:`batched_summa3d`, :func:`batched_summa3d_rows`, ``summa2d/3d`` —
-are thin shims whose knobs funnel through the single conversion point
-:meth:`~repro.plan.ExecSpec.from_kwargs`.  Every result records the
-final resolved plan verbatim in ``info["plan"]``, including any mid-run
-amendments the :class:`~repro.plan.Replanner` made.
+:func:`batched_summa3d` and :func:`batched_summa3d_rows` — are thin
+shims whose knobs funnel through the single conversion point
+:meth:`~repro.plan.ExecSpec.from_kwargs`.  :func:`summa2d` (Alg. 1) and
+:func:`summa3d` (Alg. 2) are :func:`batched_summa3d` with the knobs the
+paper fixes for them pinned.  Every result records the final resolved
+plan verbatim in ``info["plan"]``, including any mid-run amendments the
+:class:`~repro.plan.Replanner` made.
 """
 
 from __future__ import annotations
@@ -214,6 +216,46 @@ def batched_summa3d(
         mask=mask, sample=sample, postprocess=postprocess,
         on_batch=on_batch, tracker=tracker, faults=faults,
     )
+
+
+def _reject_pinned(driver: str, knobs: dict, *pinned: str) -> None:
+    """Refuse a keyword the algorithm fixes (``layers``, ``batches``,
+    ``plan``): accepting it would contradict the driver's name."""
+    given = [name for name in pinned if name in knobs]
+    if given:
+        raise TypeError(
+            f"{driver}() does not accept "
+            f"{', '.join(name + '=' for name in given)}: the algorithm "
+            f"fixes {', '.join(pinned)}; call batched_summa3d or run_plan "
+            "to choose them"
+        )
+
+
+def summa2d(a, b, nprocs: int = 4, **knobs) -> SummaResult:
+    """2D sparse SUMMA (paper Alg. 1), the classic CombBLAS baseline:
+    :func:`batched_summa3d` on a square ``sqrt(p) x sqrt(p)`` grid with
+    ``layers = 1`` and ``batches = 1``, so the fiber steps vanish.
+
+    Takes every keyword of the batched driver except the ones the
+    algorithm fixes (``layers``, ``batches``, ``plan``).  Under
+    ``enforce="strict"`` a memory-pressure failure still degrades to a
+    batched rerun, exactly as in the batched driver.
+    """
+    _reject_pinned("summa2d", knobs, "layers", "batches", "plan")
+    return batched_summa3d(a, b, nprocs, 1, batches=1, **knobs)
+
+
+def summa3d(a, b, nprocs: int = 8, layers: int = 2, **knobs) -> SummaResult:
+    """Communication-avoiding 3D sparse SUMMA (paper Alg. 2), unbatched:
+    :func:`batched_summa3d` on a ``sqrt(p/l) x sqrt(p/l) x l`` grid with
+    ``batches = 1`` — per-layer SUMMA2D followed by the fiber ColSplit /
+    AllToAll / Merge.
+
+    Takes every keyword of the batched driver except the ones the
+    algorithm fixes (``batches``, ``plan``).
+    """
+    _reject_pinned("summa3d", knobs, "batches", "plan")
+    return batched_summa3d(a, b, nprocs, layers, batches=1, **knobs)
 
 
 def run_plan(
@@ -693,30 +735,13 @@ def run_plan(
 
     # The final resolved plan, recorded verbatim: what actually ran,
     # with the provenance trail of how the configuration was reached.
-    backend_name = info.get("comm_backend", _registry_name(comm_backend))
-    prov = dict(exec_plan.provenance) if exec_plan is not None else {}
-    prov.setdefault("mode", "explicit")
-    if replans:
-        prov["replans"] = list(prov.get("replans", ())) + replans
-        prov["mode"] = "replan"
-    final_plan = ExecPlan(
-        layers=layers,
-        batches=int(ran_batches),
-        predicted_seconds=(
-            exec_plan.predicted_seconds if exec_plan is not None else None
-        ),
-        candidates=exec_plan.candidates if exec_plan is not None else (),
-        backend=backend_name,
-        predicted_memory=(
-            exec_plan.predicted_memory if exec_plan is not None else None
-        ),
-        spec=spec.amended(batches=int(ran_batches), comm_backend=backend_name),
-        provenance=prov,
-        revision=(
-            (exec_plan.revision if exec_plan is not None else 0) + len(replans)
-        ),
-    )
-    info["plan"] = final_plan.to_dict()
+    info["plan"] = ExecPlan.executed(
+        spec, exec_plan,
+        batches=ran_batches,
+        backend=info.get("comm_backend", _registry_name(comm_backend)),
+        mode="explicit",
+        replans=replans,
+    ).to_dict()
 
     if spill_dir is not None:
         os.makedirs(spill_dir, exist_ok=True)

@@ -66,6 +66,9 @@ __all__ = [
     "TileSource", "spmd_symbolic3d", "spmd_batched_summa3d",
 ]
 
+#: ``merge_policy=`` values (see :func:`spmd_batched_summa3d`).
+MERGE_POLICIES = ("deferred", "incremental")
+
 
 # The operand protocol (TileSource + per-layout tile resolution) lives
 # in the kernel layer now; ``TileSource`` is re-exported from here for
@@ -261,7 +264,7 @@ def spmd_batched_summa3d(
     ``batches``, ``max_local_bytes``, the per-rank ``trace``
     (:class:`~repro.summa.trace.Tracer`) and symbolic statistics when run.
     """
-    if merge_policy not in ("deferred", "incremental"):
+    if merge_policy not in MERGE_POLICIES:
         raise ValueError(
             f"unknown merge policy {merge_policy!r}; "
             "expected 'deferred' or 'incremental'"

@@ -64,14 +64,6 @@ def batches_upper_bound(
 
 from ..plan.spec import ExecPlan, ExecSpec
 
-#: Deprecated alias of :class:`repro.plan.ExecPlan`.  The auto-tuner's
-#: outcome is now the reified execution plan itself — same attributes
-#: (``layers``/``batches``/``predicted_seconds``/``candidates``/
-#: ``backend``/``predicted_memory``) plus the executable ``spec`` and the
-#: ``provenance`` of how it was chosen.  Existing ``PlanChoice`` callers
-#: keep working; new code should import ``ExecPlan`` from ``repro.plan``.
-PlanChoice = ExecPlan
-
 
 def _reify(
     plan: ExecPlan,
@@ -178,7 +170,7 @@ def _auto_config_kernel(
     machine,
     overlap: str,
     bytes_per_nonzero: int,
-) -> PlanChoice:
+) -> ExecPlan:
     """Candidate loop for kernels without a symbolic pass (SpMM, SDDMM).
 
     Batch requirements come from the kernel's geometry-exact footprint
@@ -250,7 +242,7 @@ def _auto_config_kernel(
         )
     best_idx = min(range(len(candidates)), key=lambda i: candidates[i][2])
     best = candidates[best_idx]
-    return PlanChoice(
+    return ExecPlan(
         layers=best[0],
         batches=best[1],
         predicted_seconds=best[2],
@@ -273,7 +265,7 @@ def auto_config(
     overlap: str = "off",
     kernel="spgemm",
     sample=None,
-) -> PlanChoice:
+) -> ExecPlan:
     """Choose layers and batches jointly for one multiplication.
 
     For every valid layer count the batch requirement is computed — by the

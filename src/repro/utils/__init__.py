@@ -1,21 +1,11 @@
-"""Shared utilities: deterministic RNG handling, timers, validation."""
+"""Shared utilities: deterministic RNG handling and timers."""
 
 from .rng import as_rng, spawn_rngs
 from .timing import Timer, StepTimes
-from .validation import (
-    check_index,
-    check_nonnegative,
-    check_positive,
-    check_power_of,
-)
 
 __all__ = [
     "as_rng",
     "spawn_rngs",
     "Timer",
     "StepTimes",
-    "check_index",
-    "check_nonnegative",
-    "check_positive",
-    "check_power_of",
 ]

@@ -232,3 +232,13 @@ class TestBanded:
 
         m = banded(50, bandwidth=3)
         assert degree_stats(m).skew_ratio < 1.2
+
+    def test_squaring_on_distributed_grid(self):
+        """Stencil matrices through the full distributed pipeline."""
+        from repro.data.generators import banded
+        from repro.sparse import multiply
+        from repro.summa import batched_summa3d
+
+        m = banded(36, bandwidth=2)
+        r = batched_summa3d(m, m, nprocs=4, layers=1, batches=2)
+        assert r.matrix.allclose(multiply(m, m))

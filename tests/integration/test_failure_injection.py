@@ -114,7 +114,19 @@ class TestDistributedFailures:
         )
 
     def test_bad_suite_fails_every_rank(self, matrix):
-        with pytest.raises(SpmdError):
+        # the SPMD core keeps its own check for callers that reach it
+        # through run_spmd directly, bypassing the driver's validation
+        from repro.grid import ProcGrid3D
+        from repro.summa.core import spmd_batched_summa3d
+
+        with pytest.raises(SpmdError) as info:
+            run_spmd(4, spmd_batched_summa3d, matrix, matrix,
+                     ProcGrid3D(4), batches=1, memory_budget=None,
+                     suite="nonexistent", timeout=15)
+        assert len(info.value.failures) == 4
+
+    def test_bad_suite_rejected_before_spawn(self, matrix):
+        with pytest.raises(ValueError, match="unknown kernel suite"):
             batched_summa3d(matrix, matrix, nprocs=4, batches=1,
                             suite="nonexistent", timeout=15)
 

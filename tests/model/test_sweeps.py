@@ -1,47 +1,11 @@
-"""Tests for the reusable experiment sweeps and PageRank/spmv additions."""
+"""Tests for the Eq. (2) batch-requirement sweep and PageRank/spmv."""
 
 import numpy as np
 import pytest
 
-from repro.model import CORI_HASWELL, CORI_KNL
-from repro.model.sweeps import (
-    batch_requirement_sweep,
-    layer_batch_sweep,
-    machine_comparison,
-    strong_scaling_sweep,
-)
+from repro.model.sweeps import batch_requirement_sweep
 
 STATS = dict(nnz_a=10**9, nnz_b=10**9, nnz_c=10**10, flops=10**12)
-
-
-class TestLayerBatchSweep:
-    def test_grid_covered(self):
-        rows = layer_batch_sweep(nprocs=1024, **STATS)
-        assert len(rows) == 9
-        assert {(r["layers"], r["batches"]) for r in rows} == {
-            (l, b) for l in (1, 4, 16) for b in (1, 16, 64)
-        }
-
-    def test_totals_positive_and_consistent(self):
-        for row in layer_batch_sweep(nprocs=1024, **STATS):
-            parts = sum(
-                row[s] for s in (
-                    "Symbolic", "A-Broadcast", "B-Broadcast", "Local-Multiply",
-                    "Merge-Layer", "AllToAll-Fiber", "Merge-Fiber",
-                )
-            )
-            assert row["total"] == pytest.approx(parts)
-
-
-class TestStrongScalingSweep:
-    def test_series_fields(self):
-        rows = strong_scaling_sweep(
-            core_counts=[4096, 16384, 65536], **STATS
-        )
-        assert [r["cores"] for r in rows] == [4096, 16384, 65536]
-        assert all(r["batches"] >= 1 for r in rows)
-        totals = [r["total"] for r in rows]
-        assert totals == sorted(totals, reverse=True)
 
 
 class TestBatchRequirementSweep:
@@ -60,17 +24,6 @@ class TestBatchRequirementSweep:
         )
         assert rows[0]["feasible"] is False
         assert rows[0]["batches"] is None
-
-
-class TestMachineComparison:
-    def test_haswell_beats_knl(self):
-        rows = machine_comparison(
-            [CORI_KNL, CORI_HASWELL],
-            nprocs=1024, layers=16, batches=4, **STATS,
-        )
-        by_name = {r["machine"]: r for r in rows}
-        assert by_name["cori-haswell"]["total"] < by_name["cori-knl"]["total"]
-        assert by_name["cori-haswell"]["comp"] < by_name["cori-knl"]["comp"]
 
 
 class TestSpmv:

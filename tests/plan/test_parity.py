@@ -1,22 +1,32 @@
 """Driver-surface parity: ``batched_summa3d`` and ``batched_summa3d_rows``
 must expose the identical signature, and every knob either driver accepts
-must be an :class:`~repro.plan.ExecSpec` field.
+must be an :class:`~repro.plan.ExecSpec` field.  ``summa2d`` (Alg. 1) and
+``summa3d`` (Alg. 2) are ``batched_summa3d`` with ``layers``/``batches``
+pinned: same knob surface, same errors, bit-identical runs.
 
 This is the regression fence for the historical kwarg drift between the
-column- and row-batched drivers: both now funnel ``**knobs`` through
-``ExecSpec.from_kwargs`` (the single conversion point), so this module
-fails the moment either surface diverges again.
+drivers: all of them funnel ``**knobs`` through ``ExecSpec.from_kwargs``
+(the single conversion point), so this module fails the moment any
+surface diverges again.
 """
 
 from __future__ import annotations
 
 import inspect
 
+import numpy as np
 import pytest
 
 from repro.plan.spec import SPEC_FIELDS, ExecSpec
+from repro.simmpi import CommTracker
 from repro.sparse import random_sparse
-from repro.summa import batched_summa3d, batched_summa3d_rows, run_plan
+from repro.summa import (
+    batched_summa3d,
+    batched_summa3d_rows,
+    run_plan,
+    summa2d,
+    summa3d,
+)
 
 
 def _tiny():
@@ -83,3 +93,70 @@ class TestPlanEntryPoints:
         r = batched_summa3d_rows(a, b, plan=spec)
         assert r.info["batch_axis"] == "rows"
         assert r.matrix.allclose(batched_summa3d(a, b, 4, batches=2).matrix)
+
+
+#: the derived drivers next to the batched call each one must equal
+DERIVED = {
+    "summa2d": (
+        lambda a, b, **kw: summa2d(a, b, 4, **kw),
+        lambda a, b, **kw: batched_summa3d(a, b, 4, 1, batches=1, **kw),
+    ),
+    "summa3d": (
+        lambda a, b, **kw: summa3d(a, b, 8, 2, **kw),
+        lambda a, b, **kw: batched_summa3d(a, b, 8, 2, batches=1, **kw),
+    ),
+}
+
+
+class TestDerivedDrivers:
+    @pytest.mark.parametrize("driver", [summa2d, summa3d])
+    def test_unknown_knob_raises_like_batched(self, driver):
+        a, b = _tiny()
+        with pytest.raises(TypeError) as batched_exc:
+            batched_summa3d(a, b, 4, not_a_knob=1, no_such_knob=2)
+        with pytest.raises(TypeError) as derived_exc:
+            driver(a, b, 4, not_a_knob=1, no_such_knob=2)
+        assert str(derived_exc.value) == str(batched_exc.value)
+
+    @pytest.mark.parametrize("driver, knob, value", [
+        (summa2d, "batches", 2),
+        (summa2d, "layers", 4),
+        (summa2d, "plan", ExecSpec()),
+        (summa3d, "batches", 2),
+        (summa3d, "plan", ExecSpec()),
+    ])
+    def test_pinned_knob_raises_naming_it(self, driver, knob, value):
+        a, b = _tiny()
+        with pytest.raises(TypeError, match=f"does not accept {knob}="):
+            driver(a, b, **{knob: value})
+
+    def test_every_spec_knob_but_the_pinned_ones_is_accepted(self):
+        # the derived drivers take the batched driver's whole surface:
+        # every spec field at its default, plus the runtime-only hooks
+        a, b = _tiny()
+        defaults = {f: getattr(ExecSpec(), f) for f in SPEC_FIELDS}
+        for name in ("nprocs", "layers", "batches"):
+            defaults.pop(name)
+        tracker = CommTracker()
+        r = summa2d(a, b, 4, tracker=tracker, mask=None, **defaults)
+        assert r.batches == 1 and r.grid.layers == 1
+        assert tracker.total_bytes() > 0
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize("name", sorted(DERIVED))
+    def test_bit_identical_to_batched_call(self, name, world):
+        a = random_sparse(24, 24, nnz=90, seed=21)
+        b = random_sparse(24, 24, nnz=90, seed=22)
+        derived, batched = DERIVED[name]
+        results = []
+        for run in (derived, batched):
+            tracker = CommTracker()
+            r = run(a, b, world=world, tracker=tracker)
+            results.append((r, tracker.total_bytes()))
+        (r1, bytes1), (r2, bytes2) = results
+        for field in ("indptr", "rowidx", "values"):
+            assert np.array_equal(
+                getattr(r1.matrix, field), getattr(r2.matrix, field)
+            )
+        assert bytes1 == bytes2
+        assert r1.info["plan"] == r2.info["plan"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.errors import PlannerError, ShapeError
+from repro.errors import CommError, DistributionError, PlannerError, ShapeError
 from repro.plan import ExecPlan, ExecSpec
 from repro.plan.spec import SPEC_FIELDS
 
@@ -144,6 +144,61 @@ class TestExecSpecConversionPoint:
             ExecSpec.from_kwargs(replan_threshold=1.0).validate()
 
 
+#: one unknown value per registry-valued knob, with the classified error
+#: its resolver raises (the same one the per-rank check raises)
+_BAD_REGISTRY_KNOBS = [
+    ("kernel", "bogus", DistributionError, "unknown local kernel"),
+    ("suite", "bogus", ValueError, "unknown kernel suite"),
+    ("semiring", "bogus", ValueError, "unknown semiring"),
+    ("comm_backend", "nope", CommError, "unknown communication backend"),
+    ("batch_scheme", "bogus", DistributionError, "unknown batch scheme"),
+    ("merge_policy", "bogus", ValueError, "unknown merge policy"),
+    ("transport", "bogus", ValueError, "unknown transport"),
+]
+
+
+class TestRegistryKnobsFailFast:
+    @pytest.mark.parametrize("knob, value, exc, message", _BAD_REGISTRY_KNOBS)
+    def test_validate_resolves_every_registry_knob(
+        self, knob, value, exc, message
+    ):
+        with pytest.raises(exc, match=message):
+            ExecSpec.from_kwargs(**{knob: value}).validate()
+
+    def test_validate_rejects_unknown_world(self):
+        with pytest.raises(ValueError, match="unknown world"):
+            ExecSpec.from_kwargs(world="cluster").validate()
+
+    def test_auto_backend_and_registry_instances_pass(self):
+        from repro.comm import DenseCollective
+        from repro.sparse.semiring import MIN_PLUS
+
+        ExecSpec.from_kwargs(comm_backend="auto").validate()
+        ExecSpec.from_kwargs(
+            comm_backend=DenseCollective(), semiring=MIN_PLUS
+        ).validate()
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize("knob, value, exc, message", _BAD_REGISTRY_KNOBS)
+    def test_driver_fails_before_any_rank_starts(
+        self, monkeypatch, world, knob, value, exc, message
+    ):
+        import repro.simmpi.engine
+        import repro.summa.batched
+        from repro.sparse import random_sparse
+        from repro.summa import batched_summa3d
+
+        def no_ranks(*args, **kwargs):
+            raise AssertionError("an SPMD region started")
+
+        monkeypatch.setattr(repro.summa.batched, "run_spmd", no_ranks)
+        monkeypatch.setattr(repro.simmpi.engine, "run_spmd", no_ranks)
+        a = random_sparse(16, 16, nnz=40, seed=1)
+        with pytest.raises(exc, match=message):
+            batched_summa3d(a, a, nprocs=4, layers=1, world=world,
+                            **{knob: value})
+
+
 # ---------------------------------------------------------------------- #
 # ExecPlan
 # ---------------------------------------------------------------------- #
@@ -205,9 +260,3 @@ class TestExecPlanAmend:
         assert run.spec.timeout == 9.0
         assert run.spec.batches == 4      # chosen configuration untouched
         assert run.batches == 4
-
-
-def test_planchoice_is_deprecated_alias():
-    from repro.summa.planner import PlanChoice
-
-    assert PlanChoice is ExecPlan

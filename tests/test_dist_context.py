@@ -1,5 +1,6 @@
 """Tests for the persistent distributed-matrix context."""
 
+import numpy as np
 import pytest
 
 from repro.dist import DistContext
@@ -150,6 +151,39 @@ class TestMultiply:
         hc, _ = ctx.multiply(ha, hb)
         assert hc.shape == (24, 18)
         assert hc.to_global().allclose(multiply(a, b))
+
+
+class TestResidentValidation:
+    """A bad configuration fails in ``_resolve_spec``, classified, before
+    the resident grid runs any SPMD region."""
+
+    @pytest.fixture
+    def no_spmd(self, ctx, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an SPMD region started")
+
+        monkeypatch.setattr(ctx, "_run_spmd", refuse)
+        return ctx
+
+    def test_multiply_rejects_zero_batches(self, no_spmd, matrix):
+        ha = no_spmd.distribute(matrix, "A")
+        hb = no_spmd.distribute(matrix, "B")
+        with pytest.raises(ShapeError, match="batches must be >= 1"):
+            no_spmd.multiply(ha, hb, batches=0)
+
+    def test_spmm_rejects_zero_batches(self, no_spmd, matrix):
+        ha = no_spmd.distribute(matrix, "A")
+        x = np.ones((matrix.ncols, 3))
+        with pytest.raises(ShapeError, match="batches must be >= 1"):
+            no_spmd.spmm(ha, x, batches=0)
+
+    def test_unknown_registry_name_fails_fast(self, no_spmd, matrix):
+        ha = no_spmd.distribute(matrix, "A")
+        hb = no_spmd.distribute(matrix, "B")
+        with pytest.raises(ValueError, match="unknown kernel suite"):
+            no_spmd.multiply(ha, hb, suite="bogus")
+        with pytest.raises(ValueError, match="unknown semiring"):
+            no_spmd.spmm(ha, np.ones((matrix.ncols, 2)), semiring="bogus")
 
 
 class TestResidentPostprocess:

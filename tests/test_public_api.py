@@ -5,11 +5,16 @@ consistent — the contract a downstream user relies on before reading any
 code.
 """
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
 import repro
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 SUBPACKAGES = [
     "repro.sparse",
@@ -96,3 +101,108 @@ class TestScipyIsolation:
         )
         assert out.returncode == 0, out.stderr
         assert "scipy-free OK" in out.stdout
+
+
+# ---------------------------------------------------------------------- #
+# orphan-module fence: a module stays only if something uses it
+# ---------------------------------------------------------------------- #
+
+#: the directories whose imports count as uses (tests do not)
+USER_DIRS = ("examples", "benchmarks", "perfbench")
+
+#: modules with no importer by design: ``python -m repro``, and the
+#: applications ``repro.apps`` exports to users that no example or
+#: benchmark calls yet
+ENTRY_POINTS = {
+    "repro.__main__",
+    "repro.apps.als",
+    "repro.apps.gnn_propagate",
+    "repro.apps.jaccard",
+    "repro.apps.pagerank",
+}
+
+
+def _module_name(path: Path) -> str:
+    parts = path.relative_to(SRC).with_suffix("").parts
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def _imports(path: Path, name: str):
+    """``(module, imported names)`` per import statement, with relative
+    imports resolved against ``name`` (the importing module)."""
+    package = name.split(".")
+    if path.name != "__init__.py":
+        package = package[:-1]
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, ()
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                base = package[: len(package) - node.level + 1]
+                module = ".".join(base + ([module] if module else []))
+            yield module, tuple(alias.name for alias in node.names)
+
+
+def _library_users() -> tuple[dict, dict]:
+    """Every library module, and for each module the set of importers
+    (module names, or file paths outside ``src``)."""
+    library = {_module_name(p): p for p in (SRC / "repro").rglob("*.py")}
+    # names a package __init__ re-exports -> the module they come from
+    reexports = {}
+    for name, path in library.items():
+        if path.name == "__init__.py":
+            for module, names in _imports(path, name):
+                for n in names:
+                    sub = f"{module}.{n}"
+                    reexports[(name, n)] = sub if sub in library else module
+    files = list(library.items())
+    for d in USER_DIRS:
+        files += [(str(p), p) for p in (ROOT / d).rglob("*.py")]
+    users: dict = {}
+    for who, path in files:
+        for module, names in _imports(path, who if who in library else ""):
+            targets = {module} | {f"{module}.{n}" for n in names}
+            for n in names:
+                # ``from pkg import f`` uses the module pkg took f from
+                key = (module, n)
+                while key in reexports:
+                    targets.add(reexports[key])
+                    key = (reexports[key], n)
+            for t in list(targets):
+                parts = t.split(".")
+                targets.update(
+                    ".".join(parts[:k]) for k in range(1, len(parts))
+                )
+            for t in targets & set(library):
+                users.setdefault(t, set()).add(who)
+    return library, users
+
+
+class TestOrphanModules:
+    def test_every_module_has_a_user(self):
+        """Each module under ``src/repro`` is imported by another library
+        module, an example, a benchmark or the perf ledger.  A package
+        ``__init__`` re-exporting a module's names does not count as a
+        use on its own; importing those names from the package does."""
+        library, users = _library_users()
+        orphans = []
+        for name, path in sorted(library.items()):
+            importers = {
+                u for u in users.get(name, ())
+                if u != name
+                and not (name.startswith(u + ".")
+                         and library[u].name == "__init__.py")
+            }
+            if not importers and name not in ENTRY_POINTS:
+                orphans.append(name)
+        assert not orphans, (
+            f"modules nothing uses outside tests: {orphans}; delete them "
+            "with their tests, or call them from the library, an example "
+            "or a benchmark"
+        )
+
+    def test_entry_points_exist(self):
+        library, _users = _library_users()
+        assert ENTRY_POINTS <= set(library)

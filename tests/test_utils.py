@@ -1,4 +1,4 @@
-"""Tests for utility modules (rng, timing, validation)."""
+"""Tests for utility modules (rng, timing)."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,6 @@ from repro.utils import (
     StepTimes,
     Timer,
     as_rng,
-    check_index,
-    check_nonnegative,
-    check_positive,
-    check_power_of,
     spawn_rngs,
 )
 
@@ -82,31 +78,3 @@ class TestStepTimes:
     def test_format_table(self):
         out = StepTimes({"step": 1.0}).format_table("title")
         assert "title" in out and "TOTAL" in out
-
-
-class TestValidation:
-    def test_check_positive(self):
-        assert check_positive("n", 3) == 3
-        with pytest.raises(ValueError):
-            check_positive("n", 0)
-        with pytest.raises(TypeError):
-            check_positive("n", "x")
-        with pytest.raises(TypeError):
-            check_positive("n", True)
-        with pytest.raises(ValueError):
-            check_positive("n", 2.5)
-
-    def test_check_nonnegative(self):
-        assert check_nonnegative("n", 0) == 0
-        with pytest.raises(ValueError):
-            check_nonnegative("n", -1)
-
-    def test_check_index(self):
-        assert check_index("i", 2, 5) == 2
-        with pytest.raises(ValueError):
-            check_index("i", 5, 5)
-
-    def test_check_power_of(self):
-        assert check_power_of("n", 16, 2) == 16
-        with pytest.raises(ValueError):
-            check_power_of("n", 12, 2)
