@@ -26,26 +26,22 @@ import itertools
 
 import numpy as np
 
-from ..errors import DistributionError, ShapeError
-from ..grid.distribution import (
-    a_tile_range,
-    b_tile_range,
-    gather_dense_tiles,
-    gather_tiles,
-)
+from ..errors import DistributionError
+from ..grid.distribution import a_tile_range, b_tile_range, gather_tiles
 from ..grid.grid3d import ProcGrid3D
-from ..mem import MemoryLedger
-from ..plan.spec import ExecPlan, ExecSpec, _registry_name
+from ..kernels import TileSource, get_kernel
 from ..simmpi.comm import DEFAULT_TIMEOUT, SimComm
 from ..simmpi.engine import run_spmd
 from ..simmpi.tracker import CommTracker
 from ..sparse.matrix import SparseMatrix
-from ..sparse.ops import col_concat, submatrix
-from ..summa.core import TileSource, spmd_batched_summa3d
+from ..sparse.ops import submatrix
+from ..summa.batched import _assemble, _coerce_plan, _launch, _plan_to_spec
 from ..summa.result import SummaResult
-from ..utils.timing import StepTimes
 
 _STANDARD_LAYOUTS = {"A": a_tile_range, "B": b_tile_range}
+
+#: spec fields a context fixes for every run it launches.
+_CONTEXT_FIELDS = ("nprocs", "layers", "world", "transport", "timeout")
 
 
 def _standard_ranges(layout: str, grid: ProcGrid3D, nrows: int, ncols: int):
@@ -60,7 +56,8 @@ class DistMatrixHandle:
     """A matrix resident tile-per-rank inside a :class:`DistContext`.
 
     ``layout`` is ``"A"`` / ``"B"`` (standard, usable as the corresponding
-    multiply operand) or ``"C"`` (product-native; redistribute first).
+    multiply operand) or ``"C"`` (product-native; redistribute first),
+    whose per-rank ranges may overlap though their nonzeros never do.
     """
 
     __slots__ = ("context", "key", "nrows", "ncols", "layout", "ranges")
@@ -176,15 +173,13 @@ class DistContext:
         run id is recorded *even when the run raises*, so :meth:`close`
         can re-sweep it later."""
         self._ensure_open()
-        world_info: dict = {}
+        world_info = kwargs.setdefault("world_info", {})
         kwargs.setdefault("tracker", self.tracker)
         kwargs.setdefault("timeout", self.timeout)
         kwargs.setdefault("world", self.world)
         kwargs.setdefault("transport", self.transport)
         try:
-            return run_spmd(
-                self.grid.nprocs, fn, *args, world_info=world_info, **kwargs
-            )
+            return run_spmd(self.grid.nprocs, fn, *args, **kwargs)
         finally:
             run_id = world_info.get("run_id")
             if run_id:
@@ -327,7 +322,7 @@ class DistContext:
         )
 
     # ------------------------------------------------------------------ #
-    # multiplication
+    # multiplication: both entry points run on run_plan's launcher
     # ------------------------------------------------------------------ #
 
     def multiply(
@@ -336,161 +331,70 @@ class DistContext:
         hb: DistMatrixHandle,
         *,
         plan=None,
-        batches: int | None = 1,
-        memory_budget: int | None = None,
-        suite="esc",
-        semiring="plus_times",
-        kernel="spgemm",
         mask: SparseMatrix | None = None,
-        mask_complement: bool = False,
         postprocess=None,
         faults=None,
-        checksums: bool | None = None,
-        max_retries: int | None = 3,
+        **knobs,
     ) -> tuple[DistMatrixHandle, SummaResult]:
         """``C = A @ B`` between resident handles; C stays distributed.
 
         ``ha`` must be standard ``"A"``-layout and ``hb`` standard
         ``"B"``-layout (use :meth:`redistribute` to convert — including
-        from a previous product's ``"C"`` layout).  ``postprocess`` is the
-        per-batch distributed hook of
-        :func:`~repro.summa.core.spmd_batched_summa3d` (HipMCL-style
-        pruning on resident matrices).  Returns
+        from a previous product's ``"C"`` layout).  Returns
         ``(handle, result)``: the handle is ``"A"`` when the batch
         boundaries happen to nest into the standard slices, else ``"C"``;
         either way it gathers and redistributes normally.
         ``result.matrix`` is ``None`` — call ``handle.to_global()`` if the
         assembled product is wanted.
 
-        ``faults`` / ``checksums`` / ``max_retries`` run the multiplication
-        under the same deterministic fault injection, envelope checksums
-        and bounded retry as :func:`~repro.summa.batched.batched_summa3d`,
-        in whichever execution world the context was built with — under
-        ``world="processes"`` injected crashes kill real worker processes
-        and retries sleep their (bounded, jittered) backoff for real;
-        every blocking rendezvous is watched by the wait-for-graph hang
-        watchdog either way, so a wedged resident-matrix pipeline raises a
-        classified :class:`~repro.errors.HangError` instead of hanging.
-
-        ``kernel`` may be ``"spgemm"`` (default) or ``"masked_spgemm"``
-        (with a *global* ``mask=`` pattern, applied inside the local
-        multiply; ``mask_complement=True`` keeps the unmasked positions).
-        Dense-output kernels don't fit resident sparse handles — use
-        :meth:`spmm` for ``A @ X`` with dense ``X``.
-
-        ``plan=`` accepts an :class:`~repro.plan.ExecSpec` /
-        :class:`~repro.plan.ExecPlan` instead of the loose knobs (same
-        funnel as :func:`~repro.summa.run_plan`); the context's own grid,
-        world and timeout override the plan's slot-level fields.  Either
-        way the resolved plan is recorded in ``result.info["plan"]``.
+        This is :func:`~repro.summa.run_plan`'s launcher on the tiles in
+        place: ``plan=`` or loose :class:`~repro.plan.ExecSpec` knobs mean
+        what they mean there, as do ``mask=``, ``faults=`` and
+        ``postprocess=`` (the per-batch distributed hook — HipMCL-style
+        pruning on resident matrices).  The context fixes ``nprocs``,
+        ``layers``, ``world``, ``transport`` and ``timeout`` (a knob
+        naming one raises :class:`~repro.errors.DistributionError`; a
+        plan's values are overridden), and knobs that need the global
+        operands (``comm_backend="auto"``, ``checkpoint_dir``,
+        ``resume``, ``heal``, ``spill_dir``, ``keep_output=False``,
+        ``kernel="masked_spgemm"`` without ``mask=``) are refused before
+        any rank starts.  For dense ``X`` use :meth:`spmm`.
         """
-        from ..kernels import MaskedSpgemmKernel, get_kernel
-
-        spec, plan_src = self._resolve_spec(
-            plan,
-            batches=batches,
-            memory_budget=memory_budget,
-            suite=suite,
-            semiring=semiring,
-            kernel=kernel,
-            mask_complement=mask_complement,
-            checksums=checksums,
-            max_retries=max_retries,
-        )
-        batches = spec.batches
-        memory_budget, _per_rank = spec.resolved_budget()
-        suite = spec.suite
-        semiring = spec.semiring
-        kernel = spec.kernel
-        mask_complement = spec.mask_complement
-        checksums = spec.checksums
-        max_retries = spec.max_retries
-
-        kern = get_kernel(kernel)
-        if kern.name not in ("spgemm", "masked_spgemm"):
+        a_src = self._operand(ha, "A", "left operand")
+        b_src = self._operand(hb, "B", "right operand")
+        spec, exec_plan = self._spec(plan, knobs)
+        kern = get_kernel(spec.kernel)
+        if (kern.a_kind, kern.b_kind, kern.output_kind) != ("sparse",) * 3:
             raise DistributionError(
-                f"resident multiply supports sparse-output SpGEMM kernels "
+                f"resident multiply supports sparse SpGEMM kernels "
                 f"(got {kern.name!r}); use DistContext.spmm for dense output"
             )
-        aux = None
-        if kern.name == "masked_spgemm":
-            if mask is None:
-                raise DistributionError(
-                    'kernel="masked_spgemm" needs mask= (a global sparse '
-                    "pattern shaped like the product)"
-                )
-            if isinstance(kernel, str) and mask_complement:
-                kern = MaskedSpgemmKernel(complement=True)
-            aux = mask
-        elif mask is not None:
-            raise DistributionError(
-                'mask= requires kernel="masked_spgemm" on resident handles'
-            )
-        self._check(ha)
-        self._check(hb)
-        if ha.layout != "A":
-            raise DistributionError(
-                "left operand must have standard layout 'A' "
-                f"(got {ha.layout!r}; redistribute first)"
-            )
-        if hb.layout != "B":
-            raise DistributionError(
-                "right operand must have standard layout 'B' "
-                f"(got {hb.layout!r}; redistribute first)"
-            )
-        if ha.ncols != hb.nrows:
-            raise ShapeError(
-                f"cannot multiply {ha.nrows}x{ha.ncols} by {hb.nrows}x{hb.ncols}"
-            )
-        a_src = TileSource(ha.nrows, ha.ncols, lambda r: self._tiles[ha.key][r])
-        b_src = TileSource(hb.nrows, hb.ncols, lambda r: self._tiles[hb.key][r])
-        per_rank = self._run_spmd(
-            spmd_batched_summa3d,
-            a_src,
-            b_src,
-            self.grid,
-            batches=batches,
-            memory_budget=memory_budget,
-            suite=suite,
-            semiring=semiring,
-            kernel=kern,
-            aux=aux,
-            keep_pieces=True,
-            postprocess=postprocess,
-            max_retries=max_retries,
-            faults=faults,
-            checksums=checksums,
+        run = _launch(
+            a_src, b_src, spec, exec_plan, mask=mask, postprocess=postprocess,
+            tracker=self.tracker, faults=faults, spawn=self._run_spmd,
         )
-        # Each rank's batch pieces are contiguous in global column space
-        # (block-cyclic blocks k*b .. (k+1)*b - 1); concatenate in global
-        # order and record the realised ranges.
-        new_tiles = []
-        ranges = []
-        for rank, r in enumerate(per_rank):
-            pieces = sorted(r["pieces"], key=lambda p: p[2])  # by c0
-            tile = col_concat([p[3] for p in pieces])
-            r0 = pieces[0][1]
-            c0 = pieces[0][2]
-            new_tiles.append(tile)
-            ranges.append((r0, r0 + tile.nrows, c0, c0 + tile.ncols))
+        # Each rank's tile is its batch pieces placed in their bounding
+        # column range.  Under the paper's block-cyclic scheme the pieces
+        # are contiguous; under batch_scheme="block" with layers > 1 they
+        # interleave with a fiber peer's, so "C" ranges may overlap
+        # (never their nonzeros) — gather and redistribute handle both.
+        tiles, ranges = [], []
+        for r in run.per_rank:
+            pieces = r["pieces"]
+            r0, height = pieces[0][1], pieces[0][3].nrows
+            c0 = min(p[2] for p in pieces)
+            c1 = max(p[2] + p[3].ncols for p in pieces)
+            tiles.append(gather_tiles(
+                height, c1 - c0, [(0, p[2] - c0, p[3]) for p in pieces]
+            ))
+            ranges.append((r0, r0 + height, c0, c1))
         standard = _standard_ranges("A", self.grid, ha.nrows, hb.ncols)
         layout = "A" if ranges == standard else "C"
-        handle = self._register(new_tiles, ha.nrows, hb.ncols, layout, ranges)
-        result = self._result(per_rank, spec, plan_src)
-        return handle, result
+        handle = self._register(tiles, ha.nrows, hb.ncols, layout, ranges)
+        return handle, run.result
 
     def spmm(
-        self,
-        ha: DistMatrixHandle,
-        x,
-        *,
-        plan=None,
-        batches: int | None = 1,
-        memory_budget: int | None = None,
-        semiring="plus_times",
-        comm_backend="dense",
-        overlap: str = "off",
-        max_retries: int | None = 3,
+        self, ha: DistMatrixHandle, x, *, plan=None, faults=None, **knobs,
     ) -> tuple[np.ndarray, SummaResult]:
         """``Y = A @ X`` with a resident sparse ``A`` and dense feature
         panel ``X`` — the GNN-propagation primitive.
@@ -498,119 +402,50 @@ class DistContext:
         ``ha`` must be a standard ``"A"``-layout handle; ``x`` is a global
         dense ``(ha.ncols, f)`` array (feature panels are small relative
         to the matrix, so they travel to the ranks whole and each rank
-        slices its block — dense panels ride collectives on either
-        backend).  Returns ``(y, result)`` with ``y`` the assembled dense
-        ``(ha.nrows, f)`` product; the panel is *not* registered as a
-        handle (handles hold sparse tiles).
+        slices its block).  This is :func:`~repro.summa.run_plan` with
+        ``kernel="spmm"`` on the resident tiles: returns ``(y, result)``
+        with ``y`` the gathered dense product (``result.matrix is y``).
+        Knobs and refusals are those of :meth:`multiply`, with ``kernel``
+        fixed too.
         """
-        from ..kernels import SpmmKernel
-
-        spec, plan_src = self._resolve_spec(
-            plan,
-            batches=batches,
-            memory_budget=memory_budget,
-            semiring=semiring,
-            kernel="spmm",
-            comm_backend=comm_backend,
-            overlap=overlap,
-            max_retries=max_retries,
+        a_src = self._operand(ha, "A", "spmm's left operand")
+        spec, exec_plan = self._spec(plan, knobs, kernel="spmm")
+        run = _launch(
+            a_src, np.ascontiguousarray(x), spec, exec_plan,
+            tracker=self.tracker, faults=faults, spawn=self._run_spmd,
         )
-        batches = spec.batches
-        memory_budget, _per_rank = spec.resolved_budget()
-        semiring = spec.semiring
-        comm_backend = spec.comm_backend
-        overlap = spec.overlap
-        max_retries = spec.max_retries
+        result = _assemble(run, spec)
+        return result.matrix, result
 
-        self._check(ha)
-        if ha.layout != "A":
+    def _spec(self, plan, knobs, **pinned):
+        """``plan=`` or loose knobs through the drivers' funnel, with the
+        context's fields (and the method's ``pinned`` ones) in force; a
+        knob naming one of them is refused, not overridden."""
+        fixed = sorted(set(knobs) & {*_CONTEXT_FIELDS, *pinned})
+        if fixed:
             raise DistributionError(
-                "spmm needs a standard 'A'-layout left operand "
-                f"(got {ha.layout!r}; redistribute first)"
+                f"{', '.join(name + '=' for name in fixed)} cannot be set "
+                "per call: the DistContext (or the method) fixes "
+                f"{', '.join((*_CONTEXT_FIELDS, *pinned))}"
             )
-        x = np.ascontiguousarray(x)
-        if x.ndim != 2 or x.shape[0] != ha.ncols:
-            raise ShapeError(
-                f"feature panel shape {x.shape} does not match "
-                f"A with {ha.ncols} columns"
+        spec, exec_plan = _plan_to_spec(_coerce_plan(plan, None, None, knobs))
+        return spec.amended(
+            nprocs=self.grid.nprocs, layers=self.grid.layers,
+            timeout=self.timeout, world=self.world, transport=self.transport,
+            **pinned,
+        ), exec_plan
+
+    def _operand(self, handle: DistMatrixHandle, layout: str,
+                 role: str) -> TileSource:
+        """A checked handle in standard ``layout``, as a run operand."""
+        self._check(handle)
+        if handle.layout != layout:
+            raise DistributionError(
+                f"{role} must have standard layout {layout!r} "
+                f"(got {handle.layout!r}; redistribute first)"
             )
-        a_src = TileSource(ha.nrows, ha.ncols, lambda r: self._tiles[ha.key][r])
-        per_rank = self._run_spmd(
-            spmd_batched_summa3d,
-            a_src,
-            x,
-            self.grid,
-            batches=batches,
-            memory_budget=memory_budget,
-            semiring=semiring,
-            kernel=SpmmKernel(),
-            comm_backend=comm_backend,
-            overlap=overlap,
-            keep_pieces=True,
-            max_retries=max_retries,
-        )
-        pieces = [
-            (r0, c0, tile)
-            for r in per_rank
-            for (_batch, r0, c0, tile) in r["pieces"]
-        ]
-        y = gather_dense_tiles(ha.nrows, x.shape[1], pieces)
-        result = self._result(per_rank, spec, plan_src)
-        return y, result
-
-    # ------------------------------------------------------------------ #
-    # plan plumbing: one shared builder for both resident entry points
-    # ------------------------------------------------------------------ #
-
-    def _resolve_spec(self, plan, **knobs):
-        """Resolve ``plan=`` or loose knobs to the spec a resident run
-        executes — the same funnel :func:`~repro.summa.run_plan` uses,
-        with the context's grid/world/timeout overriding the slot-level
-        fields either way, validated before any rank starts."""
-        from ..summa.batched import _plan_to_spec
-
-        plan_src = None
-        if plan is not None:
-            spec, plan_src = _plan_to_spec(plan)
-        else:
-            spec = ExecSpec.from_kwargs(**knobs)
-        spec = spec.amended(
-            nprocs=self.grid.nprocs,
-            layers=self.grid.layers,
-            timeout=self.timeout,
-            world=self.world,
-            transport=self.transport,
-        ).validate()
-        return spec, plan_src
-
-    def _result(self, per_rank, spec, plan_src) -> SummaResult:
-        """The :class:`SummaResult` of a resident run: per-rank memory
-        reports merged into one block, and the executed plan recorded in
-        ``info["plan"]`` (provenance mode ``"resident"`` unless the
-        originating plan carried one)."""
-        ran_batches = per_rank[0]["batches"]
-        info = dict(per_rank[0]["info"], resident=True)
-        info["memory"] = MemoryLedger.merge_reports(
-            [r["info"]["memory"] for r in per_rank]
-        )
-        info["plan"] = ExecPlan.executed(
-            spec, plan_src,
-            batches=ran_batches,
-            backend=info.get(
-                "comm_backend", _registry_name(spec.comm_backend)
-            ),
-            mode="resident",
-        ).to_dict()
-        return SummaResult(
-            matrix=None,
-            grid=self.grid,
-            batches=ran_batches,
-            step_times=StepTimes.critical_path(r["times"] for r in per_rank),
-            per_rank_times=[r["times"] for r in per_rank],
-            tracker=self.tracker,
-            max_local_bytes=max(r["max_local_bytes"] for r in per_rank),
-            info=info,
-        )
+        tiles = self._tiles[handle.key]
+        return TileSource(handle.nrows, handle.ncols, tiles.__getitem__)
 
     def _register(self, tiles, nrows, ncols, layout, ranges) -> DistMatrixHandle:
         key = next(self._next_key)

@@ -179,6 +179,18 @@ class CheckpointError(ReproError, RuntimeError):
     file, or a manifest that belongs to a different multiplication)."""
 
 
+def _rank_list(ranks: list[int]) -> str:
+    """``[0, 1, 2, 5]`` → ``"ranks 0-2, 5"``; one rank → ``"rank 3"``."""
+    runs: list[list[int]] = []
+    for r in ranks:
+        if runs and r == runs[-1][1] + 1:
+            runs[-1][1] = r
+        else:
+            runs.append([r, r])
+    spans = ", ".join(f"{lo}" if lo == hi else f"{lo}-{hi}" for lo, hi in runs)
+    return f"{'rank' if len(ranks) == 1 else 'ranks'} {spans}"
+
+
 class SpmdError(ReproError, RuntimeError):
     """One or more ranks of an SPMD region raised; carries the per-rank
     exceptions so the caller can inspect every failure, not just the first.
@@ -195,8 +207,15 @@ class SpmdError(ReproError, RuntimeError):
     ):
         self.failures = dict(failures)
         self.checkpoint_dir = checkpoint_dir
+        # ranks failing with the same exception type and message share
+        # one clause ("ranks 0-3: ValueError: ..."): a bad configuration
+        # that reaches every rank reads once, not p times
+        groups: dict[tuple[str, str], list[int]] = {}
+        for r, e in sorted(self.failures.items()):
+            groups.setdefault((type(e).__name__, str(e)), []).append(r)
         detail = "; ".join(
-            f"rank {r}: {type(e).__name__}: {e}" for r, e in sorted(self.failures.items())
+            f"{_rank_list(ranks)}: {name}: {text}"
+            for (name, text), ranks in groups.items()
         )
         message = f"{len(self.failures)} rank(s) failed: {detail}"
         if checkpoint_dir is not None:

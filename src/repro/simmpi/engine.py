@@ -26,7 +26,7 @@ from typing import Any, Callable
 
 from ..errors import CommError, RankCrashError, SpmdError
 from .comm import DEFAULT_TIMEOUT, SimComm, World
-from .faults import FaultInjector
+from .faults import as_injector
 from .membership import Membership
 from .tracker import CommTracker
 
@@ -67,9 +67,10 @@ def run_spmd(
     timeout:
         Deadlock guard for collectives, in seconds.
     faults:
-        Optional :class:`~repro.simmpi.faults.FaultPlan` or
-        :class:`~repro.simmpi.faults.FaultInjector` to run the program
-        under deterministic fault injection.
+        Optional :class:`~repro.simmpi.faults.FaultPlan`,
+        :class:`~repro.simmpi.faults.FaultInjector` or list of CLI
+        fault-spec strings (see :func:`~repro.simmpi.faults.as_injector`)
+        to run the program under deterministic fault injection.
     checksums:
         Force per-message envelope checksums on/off; ``None`` enables
         them exactly when faults are injected.
@@ -110,13 +111,8 @@ def run_spmd(
         raise ValueError(f"world_spares must be >= 0, got {world_spares}")
     if world not in WORLDS:
         raise ValueError(f"unknown world {world!r}; expected one of {WORLDS}")
+    injector = as_injector(faults)
     if world == "processes":
-        injector = None
-        if faults is not None:
-            injector = (
-                faults if isinstance(faults, FaultInjector)
-                else FaultInjector(faults)
-            )
         from ..mp.engine import run_spmd_processes
 
         return run_spmd_processes(
@@ -127,11 +123,6 @@ def run_spmd(
         )
     if isinstance(world_info, dict):
         world_info.update({"world": "threads", "transport": None})
-    injector = None
-    if faults is not None:
-        injector = (
-            faults if isinstance(faults, FaultInjector) else FaultInjector(faults)
-        )
     world = World(
         nprocs, tracker=tracker, timeout=timeout,
         injector=injector, checksums=checksums,

@@ -32,7 +32,8 @@ can be tested bit-for-bit:
 * :class:`FaultInjector` — the per-run engine: owns per-rank attempt
   counters (each rank is one thread, so counters are contention-free), a
   thread-safe event log, and the retry bookkeeping the recovery side
-  reports as ``fault_stats``.
+  reports as ``fault_stats``.  :func:`as_injector` is the one place any
+  accepted ``faults=`` form becomes an injector.
 
 Determinism contract: each rank's program order is deterministic, the
 counters key on ``(rank, op)``, and nothing consults wall clock or global
@@ -408,3 +409,14 @@ class FaultInjector:
             "simulated_backoff_s": backoff,
             "events": [ev.as_dict() for ev in events],
         }
+
+
+def as_injector(faults) -> FaultInjector | None:
+    """Coerce a ``faults=`` argument — ``None``, a :class:`FaultInjector`,
+    a :class:`FaultPlan`, or an iterable of :class:`FaultSpec` / CLI
+    fault-spec strings — to the injector one run uses."""
+    if faults is None or isinstance(faults, FaultInjector):
+        return faults
+    return FaultInjector(
+        faults if isinstance(faults, FaultPlan) else FaultPlan(faults)
+    )

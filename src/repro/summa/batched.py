@@ -21,14 +21,21 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import replace
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
-from ..errors import MemoryPressureError, ReplanSignal, ShapeError, SpmdError
+from ..errors import (
+    DistributionError,
+    MemoryPressureError,
+    ReplanSignal,
+    ShapeError,
+    SpmdError,
+)
 from ..grid.distribution import extract_a_tile, extract_b_tile, gather_tiles
 from ..grid.grid3d import ProcGrid3D
-from ..kernels import MaskedSpgemmKernel, get_kernel
+from ..kernels import MaskedSpgemmKernel, TileSource, get_kernel
 from ..mem import MemoryLedger
 from ..model.memory import predict_memory
 from ..mp.bridge import DriverCallback
@@ -36,7 +43,7 @@ from ..plan.spec import ExecPlan, ExecSpec, _registry_name
 from ..resilience import CheckpointManager, HealContext, HealingBody
 from ..resilience import run_key as _checkpoint_run_key
 from ..simmpi.engine import run_spmd
-from ..simmpi.faults import FaultInjector
+from ..simmpi.faults import as_injector
 from ..simmpi.tracker import CommTracker
 from ..sparse.io import save_matrix
 from ..sparse.matrix import SparseMatrix
@@ -276,11 +283,101 @@ def run_plan(
 
     This is the real driver; :func:`batched_summa3d` and every other
     keyword surface delegate here.  See :func:`batched_summa3d` for the
-    runtime-only arguments.
+    runtime-only arguments.  Operands may also be
+    :class:`~repro.kernels.TileSource` (already distributed); the knobs
+    that need global operands are then refused before any rank starts.
     """
     spec, exec_plan = _plan_to_spec(plan)
+    run = _launch(a, b, spec, exec_plan, mask=mask, sample=sample,
+                  postprocess=postprocess, on_batch=on_batch,
+                  tracker=tracker, faults=faults)
+    return _assemble(run, spec, on_batch)
 
+
+@dataclass
+class _Launch:
+    """A finished run before output assembly: the result (``matrix`` still
+    ``None``), the per-rank SPMD returns and the driver state assembly
+    reads."""
+
+    result: SummaResult
+    per_rank: list
+    kern: object
+    out_shape: tuple
+    ckpt: object
+    collector: object
+    first_batch: int
+
+
+def _amendment(failures: dict, batches, backend, max_batches: int):
+    """The re-entry a failed attempt asks for — every rank raised the same
+    collective :class:`ReplanSignal`, or every rank hit memory pressure
+    (double ``b``: the paper's own memory lever) — as ``(cur, new_batches,
+    new_backend, record, signal)``; ``None`` for a genuine failure."""
+    errs = list(failures.values())
+    if errs and all(isinstance(e, ReplanSignal) for e in errs):
+        sig = errs[0]
+        cur = sig.batches or (batches or 1)
+        new_b = int(sig.amended.get("batches", cur))
+        new_backend = sig.amended.get("comm_backend", backend)
+        record = {
+            "at_batch": sig.batch,
+            "reason": sig.reason,
+            "from": {"batches": int(cur), "backend": _registry_name(backend)},
+            "to": {
+                "batches": int(new_b),
+                "backend": _registry_name(new_backend),
+            },
+            "measurements": dict(sig.measurements),
+        }
+        return cur, new_b, new_backend, record, sig
+    if errs and all(isinstance(e, MemoryPressureError) for e in errs):
+        cur = next(
+            (e.batches for e in errs if e.batches), None
+        ) or (batches or 1)
+        new_b = min(cur * 2, max(1, max_batches))
+        if new_b > cur:
+            return cur, new_b, backend, {"from": int(cur), "to": int(new_b)}, None
+    return None
+
+
+def _launch(a, b, spec: ExecSpec, exec_plan=None, *, mask=None, sample=None,
+            postprocess=None, on_batch=None, tracker=None, faults=None,
+            spawn=None) -> _Launch:
+    """The one launcher behind every run: resolve the kernel and its aux
+    operand, coerce ``faults``, resolve the comm backend, run the SPMD
+    program inside the re-entry loop and build ``info`` (memory block,
+    model, resilience, the executed plan).  ``spawn(fn, *args, **kw)``
+    launches an SPMD region — :func:`~repro.simmpi.engine.run_spmd` by
+    default, ``DistContext._run_spmd`` for resident runs.  Output
+    assembly is the caller's."""
+    spec.validate()
     kern = get_kernel(spec.kernel)
+    resident = isinstance(a, TileSource) or isinstance(b, TileSource)
+    if resident:
+        # already-distributed operands: refuse every knob that needs the
+        # global ones before any rank starts — none is dropped silently
+        needs = [knob for knob, requested in (
+            # the α–β chooser prices both operands' nonzero statistics
+            ("comm_backend='auto'",
+             spec.comm_backend == "auto" and kern.supports_symbolic),
+            # fingerprints, batch files and spills hold global data, and
+            # a healed rank re-cuts its tiles from the global operands
+            ("checkpoint_dir=", spec.checkpoint_dir is not None),
+            ("resume=True", spec.resume),
+            ("heal=", spec.heal is not None),
+            ("spill_dir=", spec.spill_dir is not None),
+            # a resident product *is* its per-rank pieces
+            ("keep_output=False", not spec.keep_output),
+            # the stand-in mask is the global product pattern
+            ("kernel='masked_spgemm' without mask=",
+             kern.name == "masked_spgemm" and mask is None),
+        ) if requested]
+        if needs:
+            raise DistributionError(
+                f"{', '.join(needs)} needs the global operands; a run on "
+                "already-distributed (TileSource) operands cannot honour it"
+            )
     aux = None
     if kern.name == "masked_spgemm":
         # the mask is the kernel's aux operand; a caller-level name-based
@@ -333,7 +430,6 @@ def run_plan(
                     f"{name}= requires a sparse-output kernel; "
                     f"{kern.name!r} produces a dense result"
                 )
-    spec.validate()
     memory_budget, budget_per_rank = spec.resolved_budget()
 
     nprocs = spec.nprocs
@@ -351,17 +447,9 @@ def run_plan(
     grid = ProcGrid3D(nprocs, layers)
     if tracker is None:
         tracker = CommTracker()
-
-    injector = None
-    if faults is not None:
-        if isinstance(faults, FaultInjector):
-            injector = faults
-        else:
-            from ..simmpi.faults import FaultPlan
-
-            injector = FaultInjector(
-                faults if isinstance(faults, FaultPlan) else FaultPlan(faults)
-            )
+    if spawn is None:
+        spawn = partial(run_spmd, nprocs)
+    injector = as_injector(faults)
 
     if comm_backend == "auto":
         if not kern.supports_symbolic:
@@ -511,8 +599,7 @@ def run_plan(
         )
         try:
             if heal is None:
-                per_rank = run_spmd(
-                    nprocs,
+                per_rank = spawn(
                     spmd_batched_summa3d,
                     a,
                     b,
@@ -554,8 +641,7 @@ def run_plan(
                     # the sink hides inside the attempt closure; expose
                     # it so the process engine can index the callback.
                     body.driver_callbacks = [sink]
-                per_rank = run_spmd(
-                    nprocs,
+                per_rank = spawn(
                     body,
                     tracker=tracker,
                     timeout=spec.timeout,
@@ -569,91 +655,40 @@ def run_plan(
                 )
             break
         except SpmdError as err:
-            signals = [
-                e for e in err.failures.values()
-                if isinstance(e, ReplanSignal)
-            ]
-            if signals and all(
-                isinstance(e, ReplanSignal) for e in err.failures.values()
-            ):
-                # a collective mid-run amendment: every rank raised the
-                # same decision at the same batch boundary.  Apply it
-                # through the re-batch machinery and re-enter.
-                sig = signals[0]
-                cur = sig.batches or (batches or 1)
-                new_b = int(sig.amended.get("batches", cur))
-                new_backend = sig.amended.get("comm_backend", comm_backend)
-                geometry_changed = new_b != cur
-                replans.append({
-                    "at_batch": sig.batch,
-                    "reason": sig.reason,
-                    "from": {
-                        "batches": int(cur),
-                        "backend": _registry_name(comm_backend),
-                    },
-                    "to": {
-                        "batches": int(new_b),
-                        "backend": _registry_name(new_backend),
-                    },
-                    "measurements": dict(sig.measurements),
-                })
-                batches = new_b
-                comm_backend = new_backend
+            step = _amendment(err.failures, batches, comm_backend, out_ncols)
+            if step is None:
+                if ckpt is not None:
+                    raise SpmdError(
+                        err.failures, checkpoint_dir=os.fspath(checkpoint_dir)
+                    ) from err
+                raise
+            cur, batches, comm_backend, record, signal = step
+            if signal is not None:
+                replans.append(record)
                 # one amendment spent; a force that fired never re-fires
                 replan_policy = replace(
                     replan_policy,
                     revision=replan_policy.revision + 1,
                     force=tuple(
                         (bt, am) for bt, am in replan_policy.force
-                        if int(bt) != sig.batch
+                        if int(bt) != signal.batch
                     ),
                 )
-                if ckpt is not None:
-                    if geometry_changed:
-                        # the column geometry is a function of b: every
-                        # checkpointed batch is invalid — restart
-                        ckpt.reset(ckpt_key, new_b, ckpt_plan(new_b))
-                        first_batch = 0
-                    else:
-                        # backend flip preserves geometry: completed
-                        # batches stay durable, resume past them
-                        first_batch = ckpt.completed_prefix()
-                else:
-                    first_batch = 0
-                collector = make_collector()
-                continue
-            pressures = [
-                e for e in err.failures.values()
-                if isinstance(e, MemoryPressureError)
-            ]
-            if pressures and all(
-                isinstance(e, MemoryPressureError) for e in err.failures.values()
-            ):
-                # graceful degradation (the paper's own memory lever):
-                # double the batch count and rerun.  The column geometry
-                # changes with b, so checkpointed batches are invalid.
-                cur = next(
-                    (e.batches for e in pressures if e.batches), None
-                ) or (batches or 1)
-                new_b = min(cur * 2, max(1, out_ncols))
-                if new_b <= cur:
-                    raise
-                rebatched.append({"from": int(cur), "to": int(new_b)})
-                batches = new_b
+            else:
+                rebatched.append(record)
+            if ckpt is not None and batches == cur:
+                # a backend flip preserves the column geometry: completed
+                # batches stay durable, resume past them
+                first_batch = ckpt.completed_prefix()
+            else:
+                # the column geometry is a function of b: every
+                # checkpointed batch is invalid — restart
                 first_batch = 0
                 if ckpt is not None:
-                    ckpt.reset(ckpt_key, new_b, ckpt_plan(new_b))
-                collector = make_collector()
-                continue
-            if ckpt is not None:
-                raise SpmdError(
-                    err.failures, checkpoint_dir=os.fspath(checkpoint_dir)
-                ) from err
-            raise
+                    ckpt.reset(ckpt_key, batches, ckpt_plan(batches))
+            collector = make_collector()
 
     ran_batches = per_rank[0]["batches"]
-    per_rank_times = [r["times"] for r in per_rank]
-    step_times = StepTimes.critical_path(per_rank_times)
     info = dict(per_rank[0]["info"])
     info.update(
         suite=str(getattr(suite, "name", suite)),
@@ -708,8 +743,6 @@ def run_plan(
                 predicted["high_water_total"] / mem_block["high_water_total"]
             )
     info["memory"] = mem_block
-    # alias of info["memory"]["high_water_total"] (== max over ranks)
-    max_local_bytes = mem_block["high_water_total"]
 
     info["fiber_piece_nnz"] = [r["fiber_piece_nnz"] for r in per_rank]
     info["batch_scheme"] = spec.batch_scheme
@@ -739,9 +772,41 @@ def run_plan(
         spec, exec_plan,
         batches=ran_batches,
         backend=info.get("comm_backend", _registry_name(comm_backend)),
-        mode="explicit",
+        mode="resident" if resident else "explicit",
         replans=replans,
     ).to_dict()
+    if resident:
+        info["resident"] = True
+
+    per_rank_times = [r["times"] for r in per_rank]
+    result = SummaResult(
+        matrix=None,
+        grid=grid,
+        batches=ran_batches,
+        step_times=StepTimes.critical_path(per_rank_times),
+        per_rank_times=per_rank_times,
+        tracker=tracker,
+        # alias of info["memory"]["high_water_total"] (== max over ranks)
+        max_local_bytes=mem_block["high_water_total"],
+        info=info,
+        trace=[r["trace"] for r in per_rank],
+    )
+    return _Launch(
+        result, per_rank, kern, (out_nrows, out_ncols), ckpt, collector,
+        first_batch,
+    )
+
+
+def _assemble(run: _Launch, spec: ExecSpec, on_batch=None) -> SummaResult:
+    """:func:`run_plan`'s output assembly: replay finished batches to
+    ``spill_dir`` / ``on_batch`` in batch order and gather the global
+    product (``keep_output``) — from the checkpoint prefix plus the
+    streaming collector, the collector alone, or the held pieces."""
+    per_rank, info, kern = run.per_rank, run.result.info, run.kern
+    ckpt, collector, first_batch = run.ckpt, run.collector, run.first_batch
+    out_nrows, out_ncols = run.out_shape
+    ran_batches = run.result.batches
+    keep_output, spill_dir = spec.keep_output, spec.spill_dir
 
     if spill_dir is not None:
         os.makedirs(spill_dir, exist_ok=True)
@@ -810,17 +875,8 @@ def run_plan(
         # concatenate COO pieces, dense kernels place panels in an ndarray
         matrix = kern.gather(out_nrows, out_ncols, all_pieces)
 
-    return SummaResult(
-        matrix=matrix,
-        grid=grid,
-        batches=ran_batches,
-        step_times=step_times,
-        per_rank_times=per_rank_times,
-        tracker=tracker,
-        max_local_bytes=max_local_bytes,
-        info=info,
-        trace=[r["trace"] for r in per_rank],
-    )
+    run.result.matrix = matrix
+    return run.result
 
 
 def _compose_mask(mask: SparseMatrix, complement: bool, inner):

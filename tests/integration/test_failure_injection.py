@@ -125,6 +125,32 @@ class TestDistributedFailures:
                      suite="nonexistent", timeout=15)
         assert len(info.value.failures) == 4
 
+    def test_identical_rank_failures_read_once(self, matrix):
+        """A bad configuration that reaches every rank is one clause of
+        the message, not p copies; ``failures`` keeps every rank."""
+        from repro.grid import ProcGrid3D
+        from repro.summa.core import spmd_batched_summa3d
+
+        with pytest.raises(SpmdError) as info:
+            run_spmd(4, spmd_batched_summa3d, matrix, matrix,
+                     ProcGrid3D(4), batches=1, memory_budget=None,
+                     suite="nonexistent", timeout=15)
+        text = str(info.value)
+        assert text.startswith("4 rank(s) failed: ranks 0-3: ValueError: ")
+        assert text.count("unknown kernel suite") == 1
+        assert sorted(info.value.failures) == [0, 1, 2, 3]
+
+    def test_distinct_rank_failures_grouped(self):
+        err = SpmdError({
+            3: ValueError("bad"), 0: ValueError("bad"), 1: KeyError("k"),
+            4: ValueError("bad"), 6: ValueError("bad"),
+        })
+        assert str(err) == (
+            "5 rank(s) failed: ranks 0, 3-4, 6: ValueError: bad; "
+            "rank 1: KeyError: 'k'"
+        )
+        assert sorted(err.failures) == [0, 1, 3, 4, 6]
+
     def test_bad_suite_rejected_before_spawn(self, matrix):
         with pytest.raises(ValueError, match="unknown kernel suite"):
             batched_summa3d(matrix, matrix, nprocs=4, batches=1,

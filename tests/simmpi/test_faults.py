@@ -6,6 +6,7 @@ import pytest
 from repro.errors import (
     CorruptPayloadError,
     RankCrashError,
+    SpmdError,
     TransientCommError,
 )
 from repro.simmpi import run_spmd
@@ -70,6 +71,30 @@ class TestFaultPlan:
         plan = FaultPlan.random(0, nprocs=4, transient=20)
         assert all(0 <= s.rank < 4 for s in plan)
         assert all(s.nth >= 1 for s in plan)
+
+    def test_as_injector_accepts_every_form(self):
+        from repro.simmpi.faults import as_injector
+
+        assert as_injector(None) is None
+        injector = FaultInjector(FaultPlan(["transient:rank=0,op=bcast"]))
+        assert as_injector(injector) is injector
+        for form in (
+            FaultPlan(["transient:rank=0,op=bcast"]),
+            ["transient:rank=0,op=bcast"],
+            [FaultSpec("transient", rank=0, op="bcast")],
+        ):
+            coerced = as_injector(form)
+            assert isinstance(coerced, FaultInjector)
+            assert [s.kind for s in coerced.plan] == ["transient"]
+
+    def test_run_spmd_accepts_cli_strings(self):
+        def body(comm):
+            return comm.bcast(comm.rank, root=0)
+
+        # no retry around a raw bcast: the parsed fault fires and surfaces
+        with pytest.raises(SpmdError) as info:
+            run_spmd(2, body, faults=["transient:rank=1,op=bcast,nth=1"])
+        assert isinstance(info.value.failures[1], TransientCommError)
 
 
 class TestInjectorCounters:

@@ -5,8 +5,11 @@ import pytest
 
 from repro.dist import DistContext
 from repro.errors import DistributionError, ShapeError
+from repro.plan import ExecSpec
+from repro.plan.spec import SPEC_FIELDS
 from repro.sparse import multiply, random_sparse
 from repro.sparse.semiring import MIN_PLUS
+from repro.summa import run_plan
 
 
 @pytest.fixture(scope="module")
@@ -154,8 +157,8 @@ class TestMultiply:
 
 
 class TestResidentValidation:
-    """A bad configuration fails in ``_resolve_spec``, classified, before
-    the resident grid runs any SPMD region."""
+    """A bad configuration fails in the shared launcher, classified,
+    before the resident grid runs any SPMD region."""
 
     @pytest.fixture
     def no_spmd(self, ctx, monkeypatch):
@@ -357,3 +360,247 @@ class TestLifecycle:
             ctx.close()
         assert shm_names() <= before
         assert ctx.last_world_info.get("world") == "processes"
+
+
+
+def _shows(key, value):
+    return lambda result, handle, fence: result.info[key] == value
+
+
+def _block_ranges_change(result, handle, fence):
+    base, _ = fence.ctx.multiply(fence.ha, fence.hb, batches=3)
+    return result.info["batch_scheme"] == "block" and handle.ranges != base.ranges
+
+
+def _complement_excludes_mask(result, handle, fence):
+    kept, _ = fence.ctx.multiply(
+        fence.ha, fence.hb, kernel="masked_spgemm", mask=fence.mask
+    )
+    full, _ = fence.ctx.multiply(fence.ha, fence.hb)
+    return handle.nnz + kept.nnz == full.nnz
+
+
+def _replan_forced(result, handle, fence):
+    replans = result.info["resilience"]["replans"]
+    return result.batches == 4 and replans[0]["to"]["batches"] == 4
+
+
+#: every ExecSpec field, classified for resident runs: a non-default
+#: valid value either runs and shows it ran (``(knobs, check)``; the
+#: string ``"mask"`` stands for the fence's mask), or is refused before
+#: any SPMD region starts (``(REJECT, knobs)``, with companion knobs).
+REJECT = object()
+FENCE = {
+    "nprocs": (REJECT, {"nprocs": 16}),
+    "layers": (REJECT, {"layers": 4}),
+    "batches": ({"batches": 3}, lambda r, h, f: r.batches == 3),
+    "memory_budget": (
+        {"memory_budget": 8 * 420 * 24}, lambda r, h, f: "symbolic" in r.info,
+    ),
+    "memory_budget_per_rank": ({"memory_budget_per_rank": 10**7}, None),
+    "enforce": (
+        {"enforce": "warn", "memory_budget_per_rank": 10**7},
+        lambda r, h, f: r.info["memory"]["enforce"] == "warn",
+    ),
+    "bytes_per_nonzero": ({"bytes_per_nonzero": 16}, None),
+    "suite": ({"suite": "sorted-heap"}, _shows("suite", "sorted-heap")),
+    "semiring": ({"semiring": "min_plus"}, _shows("semiring", "min_plus")),
+    "kernel": (
+        {"kernel": "masked_spgemm", "mask": "mask"},
+        _shows("kernel", "masked_spgemm"),
+    ),
+    "mask_complement": (
+        {"mask_complement": True, "kernel": "masked_spgemm", "mask": "mask"},
+        _complement_excludes_mask,
+    ),
+    "keep_output": (REJECT, {"keep_output": False}),
+    "batch_scheme": (
+        {"batch_scheme": "block", "batches": 3}, _block_ranges_change,
+    ),
+    "merge_policy": (
+        {"merge_policy": "incremental"}, _shows("merge_policy", "incremental"),
+    ),
+    "comm_backend": ({"comm_backend": "sparse"}, _shows("comm_backend", "sparse")),
+    "overlap": ({"overlap": "depth1"}, _shows("overlap", "depth1")),
+    "spill_dir": (REJECT, {"spill_dir": "fence-spill"}),
+    "timeout": (REJECT, {"timeout": 30.0}),
+    "checksums": ({"checksums": True}, None),
+    "max_retries": ({"max_retries": 0}, None),
+    "checkpoint_dir": (REJECT, {"checkpoint_dir": "fence-ckpt"}),
+    "resume": (REJECT, {"resume": True, "checkpoint_dir": "fence-ckpt"}),
+    "checkpoint_keep_last": ({"checkpoint_keep_last": 2}, None),
+    "heal": (REJECT, {"heal": "shrink", "checkpoint_dir": "fence-ckpt"}),
+    "world_spares": ({"world_spares": 1}, None),
+    "world": (REJECT, {"world": "processes"}),
+    "transport": (REJECT, {"transport": "shm"}),
+    "replan": ({"replan": "auto", "batches": 2}, None),
+    "replan_threshold": ({"replan_threshold": 0.5}, None),
+    "replan_min_batches": ({"replan_min_batches": 2}, None),
+    "max_replans": ({"max_replans": 2}, None),
+    "replan_force": (
+        {"replan_force": ((0, {"batches": 4}),), "batches": 2},
+        _replan_forced,
+    ),
+}
+
+#: the spmm subset: the four knobs the resident copy used to drop, and
+#: every refusal (plus the pinned kernel).
+SPMM_RUNS = ("batch_scheme", "merge_policy", "comm_backend", "overlap")
+SPMM_REJECTS = tuple(
+    name for name, (knobs, _) in FENCE.items() if knobs is REJECT
+) + ("kernel",)
+
+
+def _refuse_spmd(monkeypatch, ctx):
+    def refuse(*args, **kwargs):
+        raise AssertionError("an SPMD region started")
+
+    monkeypatch.setattr(ctx, "_run_spmd", refuse)
+
+
+class TestResidentKnobFence:
+    """Every spec field passed to a resident entry point either runs and
+    shows it ran, or is refused, classified, before ``_run_spmd``."""
+
+    @pytest.fixture
+    def fence(self, matrix, tmp_path, monkeypatch):
+        from types import SimpleNamespace
+
+        monkeypatch.chdir(tmp_path)  # refused paths must never be created
+        ctx = DistContext(nprocs=8, layers=2)
+        return SimpleNamespace(
+            ctx=ctx, ha=ctx.distribute(matrix, "A"),
+            hb=ctx.distribute(matrix, "B"),
+            mask=random_sparse(40, 40, nnz=500, seed=147),
+        )
+
+    @pytest.mark.parametrize("field", SPEC_FIELDS)
+    def test_multiply(self, fence, monkeypatch, field):
+        knobs, check = FENCE[field]
+        if knobs is REJECT:
+            _refuse_spmd(monkeypatch, fence.ctx)
+            with pytest.raises(DistributionError, match=field):
+                fence.ctx.multiply(fence.ha, fence.hb, **check)
+            return
+        knobs = dict(knobs)
+        if knobs.get("mask") == "mask":
+            knobs["mask"] = fence.mask
+        hc, result = fence.ctx.multiply(fence.ha, fence.hb, **knobs)
+        # the executed plan records what ran, for every knob that runs
+        want = ExecSpec.from_kwargs(**{field: knobs[field]}).to_dict()[field]
+        assert result.info["plan"]["spec"][field] == want
+        assert check is None or check(result, hc, fence)
+
+    @pytest.mark.parametrize("field", SPMM_RUNS + SPMM_REJECTS)
+    def test_spmm(self, fence, monkeypatch, field):
+        x = np.arange(40 * 3, dtype=float).reshape(40, 3)
+        if field in SPMM_REJECTS:
+            knobs = {"kernel": "spgemm"} if field == "kernel" else FENCE[field][1]
+            _refuse_spmd(monkeypatch, fence.ctx)
+            with pytest.raises(DistributionError, match=field):
+                fence.ctx.spmm(fence.ha, x, **knobs)
+            return
+        knobs = FENCE[field][0]
+        y, result = fence.ctx.spmm(fence.ha, x, **knobs)
+        assert result.info[field] == knobs[field]
+        assert result.matrix is y
+        assert np.allclose(y, fence.ctx.gather(fence.ha).to_dense() @ x)
+
+    def test_plan_path_runs_what_it_records(self, fence):
+        _, result = fence.ctx.multiply(
+            fence.ha, fence.hb,
+            plan=ExecSpec(overlap="depth1", comm_backend="sparse"),
+        )
+        assert result.info["overlap"] == "depth1"
+        assert result.info["comm_backend"] == "sparse"
+        assert result.info["plan"]["spec"]["overlap"] == "depth1"
+        # the context's grid overrides the plan's slot-level fields
+        assert result.info["plan"]["spec"]["nprocs"] == 8
+
+    def test_auto_backend_needs_operand_statistics(self, fence, monkeypatch):
+        y, result = fence.ctx.spmm(fence.ha, np.ones((40, 2)), comm_backend="auto")
+        assert result.info["comm_backend"] == "dense"
+        _refuse_spmd(monkeypatch, fence.ctx)
+        with pytest.raises(DistributionError, match="comm_backend='auto'"):
+            fence.ctx.multiply(fence.ha, fence.hb, comm_backend="auto")
+
+    def test_masked_kernel_needs_a_mask(self, fence, monkeypatch):
+        _refuse_spmd(monkeypatch, fence.ctx)
+        with pytest.raises(DistributionError, match="without mask="):
+            fence.ctx.multiply(fence.ha, fence.hb, kernel="masked_spgemm")
+
+    def test_block_scheme_product_redistributes(self, fence, matrix):
+        """Under batch_scheme="block" a layered rank's pieces interleave
+        with its fiber peer's; the "C" handle still gathers and feeds the
+        next multiply after redistribution."""
+        ctx = fence.ctx
+        hc, _ = ctx.multiply(fence.ha, fence.hb, batches=3, batch_scheme="block")
+        assert hc.layout == "C"
+        square = multiply(matrix, matrix)
+        assert hc.to_global().allclose(square)
+        hc_b = ctx.redistribute(hc, "B")
+        assert hc_b.to_global().allclose(square)
+        hc2, _ = ctx.multiply(fence.ha, hc_b)
+        assert hc2.to_global().allclose(multiply(matrix, square))
+
+
+class TestResidentParity:
+    """Resident multiplication is run_plan on the tiles in place: products,
+    metered bytes and memory high-water marks are bit-identical to
+    run_plan on the global operands, in both worlds."""
+
+    @pytest.mark.parametrize("world", ["threads", "processes"])
+    @pytest.mark.parametrize(
+        "nprocs,layers,batches", [(4, 1, 1), (4, 1, 3), (8, 2, 2), (16, 4, 2)]
+    )
+    def test_matches_run_plan(self, matrix, world, nprocs, layers, batches):
+        ref = run_plan(matrix, matrix, ExecSpec(
+            nprocs=nprocs, layers=layers, batches=batches, world=world,
+            timeout=60.0,
+        ))
+        with DistContext(nprocs, layers, world=world, timeout=60.0) as ctx:
+            ha = ctx.distribute(matrix, "A")
+            hb = ctx.distribute(matrix, "B")
+            hc, result = ctx.multiply(ha, hb, batches=batches)
+            got = hc.to_global()
+        for name in ("indptr", "rowidx", "values"):
+            assert np.array_equal(getattr(got, name), getattr(ref.matrix, name))
+        assert result.tracker.by_step() == ref.tracker.by_step()
+        assert result.tracker.total_bytes() == ref.tracker.total_bytes()
+        assert result.max_local_bytes == ref.max_local_bytes
+        assert set(result.info) == set(ref.info) | {"resident"}
+        assert result.info["plan"]["provenance"]["mode"] == "resident"
+
+
+class TestResidentResilience:
+    def test_fault_strings_accepted(self, ctx, matrix):
+        ha = ctx.distribute(matrix, "A")
+        hb = ctx.distribute(matrix, "B")
+        hc, result = ctx.multiply(
+            ha, hb, faults=["transient:rank=1,op=bcast,nth=1"]
+        )
+        assert hc.to_global().allclose(multiply(matrix, matrix))
+        stats = result.info["fault_stats"]
+        assert stats["fired"] == 1 and stats["retries"] == 1
+        assert result.info["resilience"]["max_retries"] == 3
+
+    def test_strict_budget_rebatches(self):
+        """enforce="strict" reaches the ranks, and memory pressure re-batches
+        the resident run through the launcher's re-entry path."""
+        a = random_sparse(96, 96, nnz=900, seed=7)
+        ctx = DistContext(nprocs=4)
+        ha = ctx.distribute(a, "A")
+        hb = ctx.distribute(a, "B")
+        _, one = ctx.multiply(ha, hb, batches=1)
+        direct2, two = ctx.multiply(ha, hb, batches=2)
+        assert two.max_local_bytes < one.max_local_bytes
+        budget = (one.max_local_bytes + two.max_local_bytes) // 2
+        hc, result = ctx.multiply(
+            ha, hb, batches=1, memory_budget_per_rank=budget, enforce="strict",
+        )
+        assert result.batches == 2
+        assert result.info["resilience"]["rebatched"] == [{"from": 1, "to": 2}]
+        assert result.max_local_bytes <= budget
+        got, want = hc.to_global(), direct2.to_global()
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.rowidx, want.rowidx)
