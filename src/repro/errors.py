@@ -84,7 +84,7 @@ class HangError(ReproError, RuntimeError):
     ``kind`` classifies the hang:
 
     * ``"deadlock"`` — the wait-for graph of blocked ranks contains a
-      cycle that persisted across two watchdog sweeps with no progress —
+      cycle that persisted for a whole watchdog period with no progress —
       a genuine cyclic deadlock, reported long before the flat timeout;
     * ``"peer-exited"`` — a blocked rank waits on a peer whose thread
       already returned and can never arrive;

@@ -1,15 +1,17 @@
-"""Process-backed execution world (``world="processes"``).
+"""Process launcher for the ``world="processes"`` execution world.
 
-One OS process per rank, queues for control traffic, shared-memory
-segments for bulk payloads.  The threaded simulator in
-:mod:`repro.simmpi` stays the deterministic reference; this package is
-the performance world — same :class:`~repro.simmpi.comm.SimComm` API,
-bit-identical products, real multicore speedup.
+:func:`repro.simmpi.engine.run_spmd` supervises both worlds; this
+package is what a process boundary adds to it: forked workers
+(:class:`~repro.mp.engine.ProcessLauncher`), the shared-memory and
+pickle transports (:mod:`repro.mp.transport`, :mod:`repro.mp.shm`) and
+the :class:`~repro.mp.bridge.DriverCallback` bridge back to the driver.
+Ranks run the same :class:`~repro.simmpi.comm.SimComm` on the same
+per-rank world as in the thread world — bit-identical products, real
+multicore speedup.
 """
 
 from .bridge import DriverCallback, set_runtime
-from .comm import MpComm, MpWorld
-from .engine import run_spmd_processes
+from .engine import ProcessLauncher
 from .shm import leaked_segments, sweep_segments
 from .transport import AUTO_THRESHOLD, TRANSPORTS, get_transport
 
@@ -17,11 +19,9 @@ __all__ = [
     "AUTO_THRESHOLD",
     "TRANSPORTS",
     "DriverCallback",
-    "MpComm",
-    "MpWorld",
+    "ProcessLauncher",
     "get_transport",
     "leaked_segments",
-    "run_spmd_processes",
     "set_runtime",
     "sweep_segments",
 ]

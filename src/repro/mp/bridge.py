@@ -6,9 +6,10 @@ the checkpoint writer.  Under the threaded world these are ordinary
 closures; under the process world a worker cannot call into the parent
 directly, so the driver wraps each one in a :class:`DriverCallback`
 before launch.  The wrapper is inherited by the forked worker, where
-:func:`set_runtime` has installed the worker's :class:`MpWorld`; calling
-it there ships the (pickled) arguments up the results queue, and the
-parent engine invokes the real function on arrival.
+:func:`set_runtime` has installed the worker's
+:class:`~repro.simmpi.comm.RankWorld`; calling it there ships the
+(pickled) arguments up the results queue, and the supervisor invokes the
+real function on arrival.
 
 Ordering guarantee: a worker's callback messages and its final
 ``("done", ...)`` message travel the same queue, so the parent has
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import pickle
 
-#: the current worker's MpWorld; None in the parent / threaded world.
+#: the current worker's RankWorld; None in the parent / thread world.
 _RUNTIME = None
 
 
@@ -52,5 +53,5 @@ class DriverCallback:
         rt = _RUNTIME
         if rt is None:
             return self.fn(*args)
-        rt.post_callback(self.index, pickle.dumps(args))
+        rt.results.put(("cb", rt.rank, self.index, pickle.dumps(args)))
         return None

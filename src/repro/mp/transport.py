@@ -78,6 +78,27 @@ class Transport:
         self.naive_msgs = 0
         self.naive_bytes = 0
 
+    # segment lifecycle, as the rank world drives it ----------------- #
+
+    reap = staticmethod(reap_wire)
+
+    def ack(self, names) -> None:
+        self.segments.ack(names)
+
+    def epoch_reset(self) -> None:
+        self.segments.epoch_reset()
+
+    def outstanding(self) -> int:
+        return self.segments.outstanding()
+
+    def close(self) -> None:
+        """Release every adopted mapping (the rank's body returned)."""
+        for name in list(self.segments.adopted):
+            self.segments.release(name)
+
+    def abandon(self) -> None:
+        self.segments.abandon()
+
     def stats(self) -> dict:
         return {
             "transport": self.name,

@@ -4,14 +4,14 @@ PR 3 made crashes survivable *by restart*; this layer makes them
 survivable **in place**, following MPI's ULFM model (revoke → agree →
 repair → continue):
 
-1. The crashing rank's death revokes every live communicator
-   (:meth:`~repro.simmpi.membership.Membership.declare_dead` bumps the
-   world's revoke epoch; survivors observe
-   :class:`~repro.errors.RankRevokedError` at op entry or inside the
-   rendezvous they are blocked in).
+1. The crashing rank's death revokes every live communicator (the
+   supervisor of :func:`~repro.simmpi.engine.run_spmd` bumps the revoke
+   epoch; survivors observe :class:`~repro.errors.RankRevokedError` at
+   op entry or inside the wait they are blocked in).
 2. :class:`HealingBody` — the SPMD body the engine runs under
    ``heal=`` — catches the revocation and joins the deterministic
-   survivor agreement (:meth:`Membership.agree`).
+   survivor agreement
+   (:meth:`~repro.simmpi.membership.RankMembership.agree`).
 3. The published :class:`~repro.simmpi.membership.HealDecision` repairs
    the grid: a parked **spare** rank is promoted into the dead position
    (``mode="spare"``), or a fresh rank is **respawned** oversubscribed
@@ -176,7 +176,7 @@ class HealingBody:
         # The process world forks workers, so a worker's ``self.heal_ctx``
         # is a dead copy of the driver's; its world exposes a proxy that
         # ships add_bytes/add_latency to the parent's real HealContext.
-        heal = getattr(world, "heal_proxy", None) or self.heal_ctx
+        heal = world.heal_proxy or self.heal_ctx
         heal_spans: list[tuple[int, float, float]] = []
         decision = membership.current_decision()
         if decision.promoted.get(global_rank) == position:

@@ -1,21 +1,53 @@
-"""Simulated MPI communicators.
+"""Simulated MPI communicators and the per-rank world they run on.
 
 A :class:`SimComm` is one rank's handle on a communicator, mirroring the
 mpi4py API surface the SUMMA algorithms need: ``barrier``, ``bcast``,
 ``allreduce``, ``allgather``, ``gather``, ``scatter``, ``alltoall``,
-``alltoallv``, ``send``/``recv``/``isend``/``irecv``/``ibcast`` and ``split``.  Ranks run as threads (see
-:mod:`repro.simmpi.engine`); collectives rendezvous through
-generation-counted slots, so the same program order on every member lines
-up automatically — exactly the SPMD contract of MPI.
+``alltoallv``, ``send``/``recv``/``isend``/``irecv``/``ibcast`` and
+``split``.  Every rank — a thread or a forked process, see
+:mod:`repro.simmpi.engine` — owns one :class:`RankWorld`: an inbox,
+demultiplexing buffers, its tracker, step labels and ledger.  Messages
+move between inboxes:
 
-Determinism: reductions combine contributions in rank order, and all
-payloads pass by reference (ranks must treat received objects as
-read-only, as real MPI buffers would be after a receive).
+* generic collectives (:meth:`SimComm._exchange` — barrier, allgather,
+  allreduce, gather, scatter, reduce, split) relay through the
+  communicator's local rank 0, which assembles the contribution dict,
+  fans it back out and is the one rank that meters the collective;
+* ``bcast`` fans out directly from the root (metered at the root);
+* ``alltoall`` / ``alltoallv`` send personalised payloads directly; a
+  tiny unmetered size-row gather lets local rank 0 record the event;
+* point-to-point messages travel per-(communicator, source) channels in
+  send order, and a receive takes the earliest message bearing its tag —
+  MPI's non-overtaking rule.
+
+How a payload crosses is the world's *transport*: by reference between
+threads (:class:`RefTransport`), shared memory or pickles between
+processes (:mod:`repro.mp.transport`).  Ledger charging happens only in
+:meth:`SimComm._deliver`, so a receive is charged once, to the receiver.
+
+Determinism: reductions combine contributions in rank order.  Received
+payloads are read-only (the process world's shm views enforce it; between
+threads they are shared references, as real MPI buffers would be after a
+receive).
+
+Hang classification is two-tier.  A wait outlasting a short grace period
+ships its record (op, pending peers, pid) to the supervisor, whose
+watchdog assembles the wait-for graph, confirms a cycle that persists
+for a whole watch period (or finds a pending peer that already returned)
+and notifies one member with a ``("ctl", "hang", ...)`` item; that rank
+raises the classified :class:`~repro.errors.HangError`.  A flat per-rank deadline stays as the
+backstop (kind ``"timeout"``).  Healing revokes an epoch with
+``("ctl", "revoke", epoch)``: blocked waits observe it and raise
+:class:`~repro.errors.RankRevokedError`, and
+:class:`~repro.simmpi.membership.RankMembership` adopts the supervisor's
+decision, purging stale-epoch buffers on the way
+(:meth:`RankWorld.epoch_reset`).
 """
 
 from __future__ import annotations
 
-import threading
+import os
+import queue as _queue
 import time
 from contextlib import contextmanager
 from typing import Any
@@ -39,249 +71,384 @@ DEFAULT_TIMEOUT = 120.0
 #: a hard :class:`~repro.errors.CorruptPayloadError`.
 MAX_REDELIVERIES = 3
 
+_NOTHING = object()
 
-class _Slot:
-    """Rendezvous state for one collective instance on one communicator.
 
-    Point-to-point messages reuse the same structure with ``tag`` set:
-    one slot per in-flight message, queued in send (``seq``) order.
+def comm_epoch(comm_id: tuple) -> int:
+    """Membership epoch a communicator id belongs to.
+
+    Epoch-``e`` world communicators are ``("world", "epoch", e)`` and
+    every derived communicator (split/dup) appends to its parent's id,
+    so the epoch is recoverable from the prefix; ids not rooted in an
+    epoch-tagged world communicator are epoch 0.
+    """
+    if len(comm_id) >= 3 and comm_id[0] == "world" and comm_id[1] == "epoch":
+        return int(comm_id[2])
+    return 0
+
+
+def watch_period(timeout: float) -> float:
+    """Watchdog period of a run with flat ``timeout``: how long a wait
+    blocks before it ships its record (long enough to skip the fast path
+    entirely), and how long a wait-for cycle must persist before the
+    supervisor declares a deadlock."""
+    return max(0.05, min(1.0, timeout / 40.0))
+
+
+class RefTransport:
+    """Payloads cross by reference: the thread world's wire is the object."""
+
+    def encode(self, obj, receivers: int = 1):
+        return obj
+
+    def decode(self, wire):
+        return wire
+
+    def reap(self, wire) -> bool:
+        return False
+
+    def ack(self, names) -> None:
+        pass
+
+    def epoch_reset(self) -> None:
+        pass
+
+    def outstanding(self) -> int:
+        return 0
+
+    def close(self) -> None:
+        pass
+
+    def abandon(self) -> None:
+        pass
+
+    def stats(self) -> None:
+        return None
+
+
+class RankWorld:
+    """One rank's view of the run: inbox, buffers, transport, labels.
+
+    Exposes the attribute surface :class:`SimComm` and the layers above
+    it read — ``tracker`` (this rank's events, merged by the supervisor),
+    ``timeout``, ``checksums``, ``injector``, ``membership`` /
+    ``revoke_epoch``, ``failed`` (the shared abort event),
+    ``step_label`` / ``backend_label`` / ``ledger``, ``heal_proxy`` and
+    ``real_backoff`` (set by the process launcher: retries there really
+    sleep, see :meth:`repro.resilience.retry.RetryPolicy.call`).
     """
 
-    __slots__ = ("contrib", "complete", "taken", "tag")
-
-    def __init__(self, tag: int | None = None) -> None:
-        self.contrib: dict[int, Any] = {}
-        self.complete = False
-        self.taken = 0
-        self.tag = tag
-
-
-class _CommContext:
-    """Shared (cross-thread) state of one communicator."""
-
-    __slots__ = ("cv", "slots", "seq")
-
-    def __init__(self) -> None:
-        self.cv = threading.Condition()
-        self.slots: dict[int, _Slot] = {}
-        self.seq = 0  # monotonic id source for point-to-point messages
-
-
-class _WaitInfo:
-    """One blocked rank's entry in the wait-for graph.
-
-    ``pending`` lists the *global* ranks this rank is still waiting on —
-    the outgoing edges of the wait-for graph.  ``since`` and ``op_id``
-    identify this particular wait instance: the watchdog only declares
-    deadlock when the exact same cycle (same ranks, same wait instances)
-    is observed on two consecutive sweeps.
-    """
-
-    __slots__ = ("rank", "op", "comm_id", "tag", "op_id", "pending",
-                 "since", "heartbeat")
-
-    def __init__(self, rank, op, comm_id, tag, op_id, pending, since,
-                 heartbeat) -> None:
-        self.rank = rank
-        self.op = op
-        self.comm_id = comm_id
-        self.tag = tag
-        self.op_id = op_id
-        self.pending = tuple(pending)
-        self.since = since
-        self.heartbeat = heartbeat
-
-    def describe(self) -> dict:
-        return {
-            "rank": self.rank,
-            "op": self.op,
-            "comm": str(self.comm_id),
-            "tag": self.tag,
-            "op_id": self.op_id,
-            "pending": list(self.pending),
-            "blocked_s": round(max(time.monotonic() - self.since, 0.0), 3),
-            "heartbeat": self.heartbeat,
-        }
-
-
-class World:
-    """Process-global state of one SPMD run: contexts, tracker, failure flag.
-
-    ``injector`` is an optional
-    :class:`~repro.simmpi.faults.FaultInjector` consulted at the entry of
-    every communicator operation and at every enveloped delivery.
-    ``checksums`` enables per-message envelopes
-    (:class:`~repro.simmpi.serialization.Envelope`) on broadcast,
-    point-to-point and all-to-all payloads; it defaults to on exactly when
-    an injector is present, so fault-free runs keep the seed wire format.
-    """
-
-    def __init__(self, nprocs: int, tracker: CommTracker | None = None,
-                 timeout: float = DEFAULT_TIMEOUT, injector=None,
-                 checksums: bool | None = None) -> None:
-        self.nprocs = nprocs
-        self.tracker = tracker if tracker is not None else CommTracker()
-        self.timeout = timeout
+    def __init__(self, rank: int, inboxes, results, failed, transport, *,
+                 timeout: float, checksums: bool, injector=None) -> None:
+        self.rank = int(rank)
+        self.inboxes = inboxes
+        self.inbox = inboxes[rank]
+        #: the supervisor's message queue (results, votes, wait records).
+        self.results = results
+        self.failed = failed
+        self.transport = transport
+        self.tracker = CommTracker()
+        self.timeout = float(timeout)
+        self.checksums = bool(checksums)
         self.injector = injector
-        self.checksums = bool(
-            checksums if checksums is not None else injector is not None
-        )
-        self.failed = threading.Event()
-        self._contexts: dict[tuple, _CommContext] = {}
-        self._ctx_lock = threading.Lock()
-        self._tls = threading.local()
-        #: current communicator epoch; bumped by Membership.declare_dead.
-        #: Read lock-free on the op hot path (monotonic int, GIL-atomic).
-        self.revoke_epoch = 0
-        #: Membership/heal state (None unless the engine enables healing).
         self.membership = None
-        #: wait-for graph: global rank -> _WaitInfo of its current block.
-        self._waits: dict[int, _WaitInfo] = {}
-        self._wait_lock = threading.Lock()
-        #: ranks whose threads have returned (feeds peer-exited diagnosis).
-        self._finished_ranks: set[int] = set()
-        #: per-rank operation-entry counters (progress heartbeats). Each
-        #: key is written by exactly one thread, so a plain dict suffices.
+        self.revoke_epoch = 0
+        self.step_label = ""
+        self.backend_label = ""
+        self.ledger = None
+        #: stand-in for the driver's HealContext when it lives in another
+        #: process; ``None`` means "call the driver's context directly".
+        self.heal_proxy = None
+        self.real_backoff = False
+        #: latest heal decision epoch this rank adopted; older wires and
+        #: buffers are stale and get reaped, not decoded.
+        self.adopted_epoch = 0
+        #: set by a ``("ctl", "finish")`` item (parks spares off).
+        self.finish_flag = False
+        #: classified hang shipped by the supervisor's watchdog, if any.
+        self._hang_notice = None
+        self._tick = max(0.005, min(0.2, self.timeout / 50.0))
+        self._watch_grace = watch_period(self.timeout)
         self._heartbeats: dict[int, int] = {}
-        self.watchdog_interval = max(0.05, min(1.0, timeout / 20.0))
-
-    def context(self, comm_id: tuple) -> _CommContext:
-        with self._ctx_lock:
-            ctx = self._contexts.get(comm_id)
-            if ctx is None:
-                ctx = self._contexts[comm_id] = _CommContext()
-            return ctx
-
-    def wake_all(self) -> None:
-        """Wake every rank blocked in any rendezvous (revocation/abort)."""
-        with self._ctx_lock:
-            contexts = list(self._contexts.values())
-        for ctx in contexts:
-            with ctx.cv:
-                ctx.cv.notify_all()
-
-    def abort(self) -> None:
-        """Mark the run failed and wake every waiting rank."""
-        self.failed.set()
-        self.wake_all()
-        if self.membership is not None:
-            self.membership.wake()
-
-    # ------------------------------------------------------------------ #
-    # watchdog: wait-for graph of blocked ranks
-    # ------------------------------------------------------------------ #
+        # demux buffers
+        self._msgs: dict[tuple, object] = {}
+        self._multi: dict[tuple, dict] = {}
+        self._p2p: dict[tuple, list] = {}
+        self._seq: dict[tuple, int] = {}
 
     def heartbeat(self, global_rank: int) -> int:
         beat = self._heartbeats.get(global_rank, 0) + 1
         self._heartbeats[global_rank] = beat
         return beat
 
-    def mark_finished(self, global_rank: int) -> None:
-        with self._wait_lock:
-            self._finished_ranks.add(global_rank)
+    # -------------------------------------------------------------- #
+    # message plumbing
+    # -------------------------------------------------------------- #
 
-    def register_wait(self, global_rank: int, info: _WaitInfo) -> None:
-        with self._wait_lock:
-            self._waits[global_rank] = info
+    def post(self, dest_global: int, item) -> None:
+        self.inboxes[dest_global].put(item)
 
-    def clear_wait(self, global_rank: int) -> None:
-        with self._wait_lock:
-            self._waits.pop(global_rank, None)
+    def post_ack(self, creator_global: int, name: str) -> None:
+        self.post(creator_global, ("ack", (name,)))
 
-    def wait_snapshot(self) -> tuple[dict[int, _WaitInfo], set[int]]:
-        with self._wait_lock:
-            return dict(self._waits), set(self._finished_ranks)
+    def next_seq(self, comm_id: tuple, dest_global: int) -> int:
+        key = (comm_id, dest_global)
+        seq = self._seq.get(key, 0)
+        self._seq[key] = seq + 1
+        return seq
 
-    def hang_dump(self, ranks=None) -> dict[int, dict]:
-        """Per-rank wait records for a :class:`~repro.errors.HangError`."""
-        waits, _ = self.wait_snapshot()
-        if ranks is not None:
-            waits = {r: w for r, w in waits.items() if r in set(ranks)}
-        return {r: w.describe() for r, w in sorted(waits.items())}
+    def _demux(self, item) -> None:
+        kind = item[0]
+        if kind == "ctl":
+            self._handle_ctl(item)
+            return
+        if kind == "ack":
+            self.transport.ack(item[1])
+            return
+        if self.membership is not None and comm_epoch(item[1]) < self.adopted_epoch:
+            # stale wire from a revoked epoch: never decode it, but do
+            # remove the segment it may point at — nobody else will.
+            self.transport.reap(item[-1])
+            return
+        if kind in ("c", "a", "m"):
+            _, comm_id, op_id, src, body = item
+            self._multi.setdefault((comm_id, kind, op_id), {})[src] = body
+        elif kind in ("r", "b"):
+            _, comm_id, op_id, body = item
+            self._msgs[(comm_id, kind, op_id)] = body
+        elif kind == "p":
+            _, comm_id, src_g, seq, tag, body = item
+            self._p2p.setdefault((comm_id, src_g), []).append(
+                (seq, tag, body)
+            )
+        else:
+            raise CommError(f"rank {self.rank}: unknown wire item {kind!r}")
 
-    def watchdog_diagnose(self, global_rank: int):
-        """Diagnose a definite hang observable from ``global_rank``.
+    def _handle_ctl(self, item) -> None:
+        """Supervisor control items (healing, watchdog, wake-ups)."""
+        what = item[1]
+        if what == "revoke":
+            epoch = int(item[2])
+            if epoch > self.revoke_epoch:
+                self.revoke_epoch = epoch
+        elif what == "decision":
+            if self.membership is not None:
+                self.membership.receive(item[2])
+        elif what == "hang":
+            self._hang_notice = item[2:]
+        elif what == "finish":
+            self.finish_flag = True
+        elif what != "wake":  # "wake" only interrupts a blocked get
+            raise CommError(f"rank {self.rank}: unknown ctl item {what!r}")
 
-        Returns ``("peer-exited", gone_peers, None)`` when a pending peer's
-        thread has already returned and nothing (no heal layer) can replace
-        it; ``("deadlock", cycle, signature)`` when the wait-for graph has
-        a cycle through ``global_rank`` (the caller must observe the same
-        signature on two consecutive sweeps before firing, so a cycle that
-        resolves itself between sweeps never trips the watchdog); else
-        ``None`` — possibly slow, not provably hung.
+    def check_hang_notice(self, op: str, since: float | None = None) -> None:
+        """Raise the watchdog's classified hang, once received.
+
+        The notice is bound to the wait it classified (its ``since``
+        stamp): if this rank has already moved on — the awaited data
+        raced in just as the peer exited — the notice is stale and is
+        dropped; the supervisor re-arms when it sees the record replaced.
         """
-        waits, finished = self.wait_snapshot()
-        info = waits.get(global_rank)
-        if info is None:
-            return None
-        if self.membership is None:
-            gone = tuple(p for p in info.pending if p in finished)
-            if gone:
-                return ("peer-exited", gone, None)
-        cycle = self._find_cycle(waits, global_rank)
-        if cycle is not None:
-            sig = tuple((r, waits[r].op_id, waits[r].since) for r in cycle)
-            return ("deadlock", tuple(cycle), sig)
-        return None
+        notice = self._hang_notice
+        if notice is None:
+            return
+        self._hang_notice = None
+        kind, cycle, dump, message, target_since = notice
+        if since is None or since != target_since:
+            return
+        # the classified rank is the one that aborts the run
+        self.failed.set()
+        mine = dump.get(self.rank, {})
+        raise HangError(message, kind=kind, cycle=cycle, dump=dump).with_context(
+            rank=self.rank, pid=os.getpid(), op=op, peers=mine.get("pending"),
+            tag=mine.get("tag"), comm=mine.get("comm"),
+        )
 
-    @staticmethod
-    def _find_cycle(waits: dict[int, _WaitInfo], start: int):
-        """DFS over blocked ranks for a wait-for cycle through ``start``.
-        Returns the rank list of the cycle (beginning at ``start``) or
-        ``None``.  Only ranks currently registered as blocked are nodes —
-        a computing (unblocked) rank breaks every path through it.
+    def drain(self) -> None:
+        """Process everything currently queued, without blocking."""
+        while True:
+            try:
+                item = self.inbox.get_nowait()
+            except _queue.Empty:
+                return
+            self._demux(item)
+
+    def pump(self) -> bool:
+        """Demux one inbox item, blocking at most one tick; ``False``
+        when none arrived."""
+        try:
+            item = self.inbox.get(timeout=self._tick)
+        except _queue.Empty:
+            return False
+        self._demux(item)
+        return True
+
+    def epoch_reset(self, epoch: int) -> None:
+        """Adopt heal ``epoch``: purge pre-``epoch`` buffers + segments.
+
+        Selective, not wholesale — a fast survivor's new-epoch traffic
+        can land in this inbox *before* this rank adopts the decision,
+        and must survive the reset.  Each dropped wire's shared-memory
+        segment is reaped here (the dead rank cannot).  Adopted mappings
+        with live views are untouched: in-flight zero-copy receives stay
+        valid.
         """
-        visited: set[int] = set()
+        if epoch <= self.adopted_epoch:
+            return
+        self.adopted_epoch = epoch
+        reap = self.transport.reap
+        for key in [k for k in self._msgs if comm_epoch(k[0]) < epoch]:
+            reap(self._msgs.pop(key))
+        for key in [k for k in self._multi if comm_epoch(k[0]) < epoch]:
+            for wire in self._multi.pop(key).values():
+                reap(wire)
+        for key in [k for k in self._p2p if comm_epoch(k[0]) < epoch]:
+            for _seq, _tag, wire in self._p2p.pop(key):
+                reap(wire)
+        for key in [k for k in self._seq if comm_epoch(k[0]) < epoch]:
+            del self._seq[key]
+        self.transport.epoch_reset()
 
-        def dfs(rank: int, trail: list[int]):
-            info = waits.get(rank)
-            if info is None:
-                return None
-            for peer in info.pending:
-                if peer == start:
-                    return trail + [rank]
-                if peer in trail or peer in visited:
-                    continue
-                visited.add(peer)
-                found = dfs(peer, trail + [rank])
-                if found is not None:
-                    return found
-            return None
+    def _wait(self, ready, *, comm, op: str, pending, tag=None):
+        """Pump the inbox until ``ready()`` returns something.
 
-        return dfs(start, [])
+        ``ready`` returns :data:`_NOTHING` while unsatisfied; ``pending()``
+        names the global ranks still owed (the wait-for edges).  Respects
+        the shared abort event (raising :class:`CommError`, the cascade
+        error the supervisor filters), epoch revocation
+        (:class:`~repro.errors.RankRevokedError`, so a blocked survivor
+        joins the heal agreement promptly), the watchdog's classified
+        hang notices, and the flat per-rank timeout backstop.  A wait
+        outlasting the grace period ships its record to the supervisor
+        and re-ships it whenever its pending set shrinks, so a relay root
+        never keeps an edge to a peer that has already contributed.
+        """
+        hit = ready()
+        if hit is not _NOTHING:
+            return hit
+        comm._check_revoked()
+        since = time.monotonic()
+        self.check_hang_notice(op, since)
+        deadline = since + self.timeout
+        watch_at = since + self._watch_grace
+        posted = None
+        try:
+            while True:
+                if self.failed.is_set():
+                    raise CommError(f"{op} aborted: a peer rank failed")
+                got = self.pump()
+                comm._check_revoked()
+                self.check_hang_notice(op, since)
+                if got:
+                    hit = ready()
+                    if hit is not _NOTHING:
+                        return hit
+                now = time.monotonic()
+                if now >= watch_at:
+                    pend = sorted(set(pending()))
+                    if pend != posted:
+                        self.results.put(("wait", self.rank, {
+                            "rank": self.rank, "pid": os.getpid(), "op": op,
+                            "comm": str(comm.comm_id), "tag": tag,
+                            "op_id": None, "pending": pend, "since": since,
+                            "heartbeat": self._heartbeats.get(self.rank, 0),
+                        }))
+                        posted = pend
+                if not got and now >= deadline:
+                    self.failed.set()
+                    raise self._hang(comm, op, tag=tag, pending=pending())
+        finally:
+            if posted is not None:
+                self.results.put(("endwait", self.rank))
 
-    @property
-    def step_label(self) -> str:
-        return getattr(self._tls, "step", "")
+    def _hang(self, comm, op: str, *, tag, pending) -> HangError:
+        me = self.rank
+        pid = os.getpid()
+        pending = sorted(set(int(p) for p in pending))
+        record = {
+            "rank": me, "pid": pid, "op": op, "comm": str(comm.comm_id),
+            "tag": tag, "op_id": None, "pending": pending,
+            "blocked_s": round(self.timeout, 3),
+            "heartbeat": self._heartbeats.get(me, 0),
+        }
+        message = (
+            f"rank {me} (pid {pid}): {op} on {comm.comm_id} timed out after "
+            f"{self.timeout:g}s waiting on rank(s) "
+            f"{', '.join(str(p) for p in pending) or '?'}"
+            "\n  (flat per-rank deadline backstop: the watchdog classified "
+            "no deadlock or exited peer)"
+            f"\n  rank {me}: {op} on {comm.comm_id}"
+            + (f" tag {tag}" if tag is not None else "")
+            + f" waiting on {pending} for {round(self.timeout, 3)}s "
+            f"in pid {pid}"
+        )
+        return HangError(
+            message, kind="timeout", cycle=(), dump={me: record}
+        ).with_context(
+            rank=me, pid=pid, op=op, peers=pending, tag=tag,
+            comm=str(comm.comm_id),
+        )
 
-    @step_label.setter
-    def step_label(self, value: str) -> None:
-        self._tls.step = value
+    # wait helpers used by SimComm --------------------------------- #
 
-    @property
-    def backend_label(self) -> str:
-        """Communication-backend tag ("" / "dense" / "sparse") attached to
-        every event this thread records — set by :mod:`repro.comm`."""
-        return getattr(self._tls, "backend", "")
+    def wait_msg(self, key: tuple, *, comm, op: str, source: int):
+        return self._wait(lambda: self._msgs.pop(key, _NOTHING), comm=comm,
+                          op=op, pending=lambda: (source,))
 
-    @backend_label.setter
-    def backend_label(self, value: str) -> None:
-        self._tls.backend = value
+    def wait_multi(self, key: tuple, *, comm, op: str):
+        """Wait until every other member of ``comm`` posted under
+        ``key`` (keyed by local rank); returns ``{local rank: body}``."""
+        need = comm.size - 1
 
-    @property
-    def ledger(self):
-        """This rank thread's :class:`~repro.mem.MemoryLedger` (or ``None``).
+        def ready():
+            got = self._multi.get(key)
+            if got is not None and len(got) >= need:
+                return self._multi.pop(key)
+            return _NOTHING
 
-        Thread-local like :attr:`step_label`: each SPMD rank installs its
-        own ledger at body entry, and every payload the thread *receives*
-        is charged as a momentary ``recv_buffer`` spike at the delivery
-        chokepoint — the accounting SpComm3D argues for: where the bytes
-        land, not where a driver sums them afterwards."""
-        return getattr(self._tls, "ledger", None)
+        def pending():
+            got = self._multi.get(key, {})
+            return (m for r, m in enumerate(comm.members)
+                    if r != comm.rank and r not in got)
 
-    @ledger.setter
-    def ledger(self, value) -> None:
-        self._tls.ledger = value
+        return self._wait(ready, comm=comm, op=op, pending=pending)
+
+    def match_p2p(self, channel: tuple, tag: int):
+        """Pop the earliest buffered message on ``channel`` bearing
+        ``tag`` (arrival order == send order: one queue per producer)."""
+        entries = self._p2p.get(channel)
+        if not entries:
+            return _NOTHING
+        for i, (_seq, mtag, body) in enumerate(entries):
+            if mtag == tag:
+                entries.pop(i)
+                return body
+        return _NOTHING
+
+    # -------------------------------------------------------------- #
+    # teardown
+    # -------------------------------------------------------------- #
+
+    def finish(self) -> None:
+        """Drain outstanding segment acks, then close adopted handles.
+
+        Runs after the SPMD body returned: every message this rank sent
+        was matched, so each receiver will attach (and ack) as it drains
+        its own queue — the wait below ends as soon as the slowest
+        consumer of our broadcasts catches up.
+        """
+        transport = self.transport
+        deadline = time.monotonic() + self.timeout
+        while transport.outstanding():
+            if self.pump():
+                continue
+            if self.failed.is_set() or time.monotonic() >= deadline:
+                transport.abandon()
+                break
+        transport.close()
+
+    def abandon(self) -> None:
+        self.transport.abandon()
 
 
 class SimComm:
@@ -290,9 +457,9 @@ class SimComm:
     Parameters
     ----------
     world:
-        Shared :class:`World`.
+        This rank's :class:`RankWorld`.
     comm_id:
-        Hashable identity shared by all members (contexts key off it).
+        Hashable identity shared by all members (message keys use it).
     members:
         Global ranks belonging to this communicator, in local-rank order.
     rank:
@@ -306,8 +473,8 @@ class SimComm:
 
     __slots__ = ("world", "comm_id", "members", "rank", "_opseq", "epoch")
 
-    def __init__(self, world: World, comm_id: tuple, members: tuple[int, ...],
-                 rank: int, epoch: int = 0):
+    def __init__(self, world: RankWorld, comm_id: tuple,
+                 members: tuple[int, ...], rank: int, epoch: int = 0):
         self.world = world
         self.comm_id = comm_id
         self.members = tuple(members)
@@ -360,44 +527,38 @@ class SimComm:
     # the rendezvous primitive
     # ------------------------------------------------------------------ #
 
-    def _exchange(self, payload, op: str = "collective") -> tuple[dict[int, Any], bool]:
-        """Contribute ``payload``; return (all contributions, completed_here).
-
-        ``completed_here`` is True on exactly one rank (the last to arrive)
-        — used so each collective is metered exactly once.
-        """
-        ctx = self.world.context(self.comm_id)
+    def _next_op(self) -> int:
         op_id = self._opseq
         self._opseq += 1
-        with ctx.cv:
-            slot = ctx.slots.get(op_id)
-            if slot is None:
-                slot = ctx.slots[op_id] = _Slot()
-            if self.rank in slot.contrib:
-                raise CommError(
-                    f"rank {self.rank} participated twice in collective {op_id} "
-                    f"on {self.comm_id} — mismatched program order"
-                )
-            slot.contrib[self.rank] = payload
-            completed_here = len(slot.contrib) == self.size
-            if completed_here:
-                slot.complete = True
-                ctx.cv.notify_all()
-            else:
-                self._blocked_wait(
-                    ctx, op, tag=None, op_id=op_id,
-                    ready=lambda: slot.complete,
-                    pending=lambda: (
-                        self.members[r] for r in range(self.size)
-                        if r not in slot.contrib
-                    ),
-                    abort_msg="collective aborted: a peer rank failed",
-                )
-            result = slot.contrib
-            slot.taken += 1
-            if slot.taken == self.size:
-                del ctx.slots[op_id]
-        return result, completed_here
+        return op_id
+
+    def _exchange(self, payload, op: str = "collective") -> tuple[dict[int, Any], bool]:
+        """Contribute ``payload``; return (all contributions, metered_here).
+
+        Relays through local rank 0, which assembles the contribution
+        dict, fans it back out and is the one rank that meters the
+        collective (``metered_here`` is True there only).
+        """
+        op_id = self._next_op()
+        rt = self.world
+        if self.rank == 0:
+            contrib = {0: payload}
+            if self.size > 1:
+                wires = rt.wait_multi((self.comm_id, "c", op_id), comm=self, op=op)
+                for src, wire in wires.items():
+                    contrib[src] = rt.transport.decode(wire)
+                wire_all = rt.transport.encode(contrib, receivers=self.size - 1)
+                for dst in self.members[1:]:
+                    rt.post(dst, ("r", self.comm_id, op_id, wire_all))
+            return contrib, True
+        rt.post(
+            self.members[0],
+            ("c", self.comm_id, op_id, self.rank,
+             rt.transport.encode(payload, receivers=1)),
+        )
+        wire = rt.wait_msg((self.comm_id, "r", op_id), comm=self, op=op,
+                           source=self.members[0])
+        return rt.transport.decode(wire), False
 
     def _check_revoked(self) -> None:
         """Raise when the heal layer revoked this communicator's epoch."""
@@ -410,102 +571,6 @@ class SimComm:
                 rank=self.global_rank, comm=str(self.comm_id),
                 epoch=self.epoch, revoke_epoch=world.revoke_epoch,
             )
-
-    def _blocked_wait(self, ctx: _CommContext, op: str, *, tag, op_id,
-                      ready, pending, abort_msg: str) -> None:
-        """Wait under ``ctx.cv`` until ``ready()`` — watchdog-supervised.
-
-        Registers this rank in the world's wait-for graph (with the
-        current ``pending()`` peer set) each sweep, diagnoses cyclic
-        deadlock / exited peers via :meth:`World.watchdog_diagnose`, and
-        enforces the flat-timeout backstop.  A deadlock only fires after
-        the identical cycle is seen on two consecutive sweeps.  The
-        caller must hold ``ctx.cv``; ``ready``/``pending`` run under it.
-        """
-        world = self.world
-        me = self.global_rank
-        since = time.monotonic()
-        deadline = since + world.timeout
-        interval = world.watchdog_interval
-        next_check = since + interval
-        last_sig = None
-        try:
-            while not ready():
-                if world.failed.is_set():
-                    raise CommError(abort_msg)
-                self._check_revoked()
-                pend = tuple(pending())
-                world.register_wait(me, _WaitInfo(
-                    rank=me, op=op, comm_id=self.comm_id, tag=tag,
-                    op_id=op_id, pending=pend, since=since,
-                    heartbeat=world._heartbeats.get(me, 0),
-                ))
-                now = time.monotonic()
-                if now >= deadline:
-                    world.abort()
-                    raise self._hang_error(
-                        "timeout", op, pend, tag=tag, op_id=op_id, since=since
-                    )
-                if now >= next_check:
-                    diag = world.watchdog_diagnose(me)
-                    if diag is not None:
-                        kind, nodes, sig = diag
-                        if kind == "peer-exited":
-                            world.abort()
-                            raise self._hang_error(
-                                "peer-exited", op, pend, tag=tag,
-                                op_id=op_id, since=since, cycle=nodes,
-                            )
-                        if sig is not None and sig == last_sig:
-                            world.abort()
-                            raise self._hang_error(
-                                "deadlock", op, pend, tag=tag,
-                                op_id=op_id, since=since, cycle=nodes,
-                            )
-                        last_sig = sig
-                    else:
-                        last_sig = None
-                    next_check = now + interval
-                ctx.cv.wait(min(max(deadline - now, 0.001), interval, 0.5))
-        finally:
-            world.clear_wait(me)
-
-    def _hang_error(self, kind: str, op: str, pend, *, tag, op_id, since,
-                    cycle=()) -> HangError:
-        world = self.world
-        me = self.global_rank
-        dump = world.hang_dump()
-        dump.setdefault(me, _WaitInfo(
-            rank=me, op=op, comm_id=self.comm_id, tag=tag, op_id=op_id,
-            pending=pend, since=since,
-            heartbeat=world._heartbeats.get(me, 0),
-        ).describe())
-        if kind == "deadlock":
-            chain = " -> ".join(f"rank {r}" for r in (*cycle, cycle[0]))
-            message = f"deadlock: wait-for cycle {chain}"
-        elif kind == "peer-exited":
-            who = ", ".join(str(r) for r in (cycle or pend))
-            message = (
-                f"rank {me}: {op} waits on rank(s) {who} whose thread(s) "
-                "already returned and can never arrive"
-            )
-        else:
-            message = (
-                f"rank {me}: {op} on {self.comm_id} timed out after "
-                f"{world.timeout:g}s waiting on rank(s) "
-                f"{', '.join(str(r) for r in pend)}"
-            )
-        for r, rec in sorted(dump.items()):
-            message += (
-                f"\n  rank {r}: {rec['op']} on {rec['comm']}"
-                + (f" tag {rec['tag']}" if rec["tag"] is not None else "")
-                + f" op #{rec['op_id']} waiting on {rec['pending']}"
-                + f" for {rec['blocked_s']}s (heartbeat {rec['heartbeat']})"
-            )
-        return HangError(message, kind=kind, cycle=cycle, dump=dump).with_context(
-            rank=me, op=op, peers=list(pend), tag=tag, op_id=op_id,
-            comm=str(self.comm_id),
-        )
 
     def _record(
         self,
@@ -528,11 +593,13 @@ class SimComm:
     # ------------------------------------------------------------------ #
 
     def _inject(self, op: str) -> None:
-        """Operation-entry hook — heartbeat, revocation check, fault
-        injection.  Runs before ``_opseq`` advances or any shared state is
-        touched, so a raise here leaves the operation perfectly retryable
-        on this rank alone (peers just keep waiting in the rendezvous)."""
+        """Operation-entry hook — inbox drain, heartbeat, revocation
+        check, fault injection.  Draining first means a revocation
+        already sitting in the inbox is observed here.  Runs before
+        ``_opseq`` advances, so a raise leaves the operation perfectly
+        retryable on this rank alone (peers just keep waiting)."""
         world = self.world
+        world.drain()
         world.heartbeat(self.global_rank)
         self._check_revoked()
         injector = world.injector
@@ -550,7 +617,7 @@ class SimComm:
         corrupted copy) and is verified against the envelope checksum; a
         mismatch meters a redelivery — the retransmission a real transport
         would perform — and tries again, up to :data:`MAX_REDELIVERIES`
-        extra attempts.  The slot keeps the *original* payload, so
+        extra attempts.  The wire keeps the *original* payload, so
         redelivery always heals injected corruption."""
         ledger = self.world.ledger
         if ledger is not None:
@@ -608,15 +675,21 @@ class SimComm:
         """Broadcast ``obj`` from local rank ``root`` to all members."""
         self._check_root(root)
         self._inject("bcast")
-        payload = self._wrap(obj) if self.rank == root else None
-        contrib, last = self._exchange(payload, "bcast")
-        result = contrib[root]
-        if last:
-            nbytes = payload_nbytes(result)
-            self._record("bcast", nbytes, nbytes * max(self.size - 1, 0))
+        op_id = self._next_op()
+        rt = self.world
         if self.rank == root:
+            payload = self._wrap(obj)
+            nbytes = payload_nbytes(payload)
+            if self.size > 1:
+                wire = rt.transport.encode(payload, receivers=self.size - 1)
+                for dst in self.members:
+                    if dst != self.global_rank:
+                        rt.post(dst, ("b", self.comm_id, op_id, wire))
+            self._record("bcast", nbytes, nbytes * max(self.size - 1, 0))
             return obj  # root keeps its own reference, like MPI_Bcast
-        return self._deliver(result, "bcast")
+        wire = rt.wait_msg((self.comm_id, "b", op_id), comm=self, op="bcast",
+                           source=self.members[root])
+        return self._deliver(rt.transport.decode(wire), "bcast")
 
     def allgather(self, obj) -> list:
         """Every member receives the list of all contributions (rank order)."""
@@ -692,17 +765,7 @@ class SimComm:
             raise CommError(
                 f"alltoall needs {self.size} payloads, got {len(sendlist)}"
             )
-        self._inject("alltoall")
-        contrib, last = self._exchange([self._wrap(x) for x in sendlist], "alltoall")
-        if last:
-            per_rank = [
-                sum(payload_nbytes(x) for x in contrib[r]) for r in range(self.size)
-            ]
-            self._record("alltoall", max(per_rank, default=0), sum(per_rank))
-        return [
-            self._deliver(contrib[src][self.rank], "alltoall")
-            for src in range(self.size)
-        ]
+        return self._direct_alltoall(sendlist, "alltoall")
 
     def alltoallv(self, sendlist, counts=None) -> list:
         """Variable-size personalised all-to-all (MPI_Alltoallv semantics).
@@ -723,23 +786,58 @@ class SimComm:
         variable-size costs.
         """
         sendlist = _normalize_alltoallv(sendlist, counts, self.size)
-        self._inject("alltoallv")
-        contrib, last = self._exchange([self._wrap(x) for x in sendlist], "alltoallv")
-        if last:
-            per_rank = [
-                sum(payload_nbytes(x) for x in contrib[r]) for r in range(self.size)
-            ]
-            self._record("alltoallv", max(per_rank, default=0), sum(per_rank))
-        return [
-            self._deliver(contrib[src][self.rank], "alltoallv")
-            for src in range(self.size)
-        ]
+        return self._direct_alltoall(sendlist, "alltoallv")
+
+    def _direct_alltoall(self, sendlist, op: str) -> list:
+        self._inject(op)
+        op_id = self._next_op()
+        rt = self.world
+        wrapped = [self._wrap(x) for x in sendlist]
+        sizes = [payload_nbytes(x) for x in wrapped]
+        for dst in range(self.size):
+            if dst != self.rank:
+                rt.post(
+                    self.members[dst],
+                    ("a", self.comm_id, op_id, self.rank,
+                     rt.transport.encode(wrapped[dst], receivers=1)),
+                )
+        # metering: local rank 0 gathers every rank's send-size row
+        # (unmetered metadata) and records the event with the exact
+        # per-rank max/sum figures.
+        if self.rank == 0:
+            rows = {0: sizes}
+            if self.size > 1:
+                rows.update(rt.wait_multi((self.comm_id, "m", op_id),
+                                          comm=self, op=op))
+            per_rank = [sum(rows[r]) for r in range(self.size)]
+            self._record(op, max(per_rank, default=0), sum(per_rank))
+        else:
+            rt.post(self.members[0], ("m", self.comm_id, op_id, self.rank, sizes))
+        out: list = [None] * self.size
+        out[self.rank] = self._deliver(wrapped[self.rank], op)
+        key = (self.comm_id, "a", op_id)
+        for src in range(self.size):
+            if src == self.rank:
+                continue
+
+            def ready(src=src):
+                got = rt._multi.get(key)
+                if got is not None and src in got:
+                    return got.pop(src)
+                return _NOTHING
+
+            wire = rt._wait(ready, comm=self, op=op,
+                            pending=lambda src=src: (self.members[src],))
+            out[src] = self._deliver(rt.transport.decode(wire), op)
+        if not rt._multi.get(key, True):
+            del rt._multi[key]
+        return out
 
     # ------------------------------------------------------------------ #
     # communicator management
     # ------------------------------------------------------------------ #
 
-    def split(self, color: int, key: int | None = None) -> "SimComm":
+    def split(self, color: int, key: int | None = None) -> SimComm:
         """MPI_Comm_split: members sharing ``color`` form a new communicator,
         ordered by ``(key, old local rank)``."""
         if key is None:
@@ -754,10 +852,9 @@ class SimComm:
         members = tuple(self.members[r] for r in local_ranks)
         new_rank = local_ranks.index(self.rank)
         comm_id = (*self.comm_id, op_marker, mine[0])
-        # type(self) so process-world subclasses split into their own kind
-        return type(self)(self.world, comm_id, members, new_rank, epoch=self.epoch)
+        return SimComm(self.world, comm_id, members, new_rank, epoch=self.epoch)
 
-    def dup(self) -> "SimComm":
+    def dup(self) -> SimComm:
         """Duplicate the communicator (fresh collective sequence space)."""
         return self.split(0, self.rank)
 
@@ -765,14 +862,14 @@ class SimComm:
     # point-to-point
     # ------------------------------------------------------------------ #
 
-    def isend(self, obj, dest: int, tag: int = 0) -> "Request":
+    def isend(self, obj, dest: int, tag: int = 0) -> Request:
         """Nonblocking send.  The simulated send buffers immediately, so
         the request is born complete; the object models MPI semantics
         (communication/computation overlap) for algorithm structure."""
         self.send(obj, dest, tag)
         return Request(ready=True)
 
-    def ibcast(self, obj, root: int = 0, tag: int = 0) -> "Request":
+    def ibcast(self, obj, root: int = 0, tag: int = 0) -> Request:
         """Nonblocking broadcast built on the tag-matched point-to-point
         layer: the root fans ``obj`` out with :meth:`isend` (buffered, so
         its request is born complete and carries ``obj`` as its value);
@@ -798,7 +895,7 @@ class SimComm:
             return Request(ready=True, value=obj)
         return self.irecv(root, tag)
 
-    def irecv(self, source: int, tag: int = 0) -> "Request":
+    def irecv(self, source: int, tag: int = 0) -> Request:
         """Nonblocking receive: returns a :class:`Request` whose
         :meth:`~Request.wait` yields the message and whose
         :meth:`~Request.test` probes without blocking.  The caller
@@ -816,52 +913,23 @@ class SimComm:
             try_fn=lambda: self._try_recv(source, tag),
         )
 
-    def _p2p_context(self, src: int, dst: int) -> _CommContext:
-        """The shared message queue for one directed (src, dst) pair.
-
-        One queue per pair — not per (pair, tag) — so that tag matching
-        happens at *receive* time against the send-ordered queue, exactly
-        MPI's non-overtaking rule: a receive takes the earliest matching
-        message, and messages with other tags stay queued untouched.
-        """
-        return self.world.context((*self.comm_id, "p2p", src, dst))
-
-    def _match(self, ctx: _CommContext, tag: int):
-        """Earliest deliverable slot key matching ``tag``, else None.
-        Caller must hold ``ctx.cv``."""
-        ready = [
-            k for k, s in ctx.slots.items()
-            if s.complete and s.taken == 0 and s.tag == tag
-        ]
-        return min(ready) if ready else None
-
-    def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
-        """Atomically claim the earliest matching message if one is
-        deliverable; returns ``(claimed, obj_or_None)`` without blocking."""
-        self._check_root(source, "source")
-        ctx = self._p2p_context(self.members[source], self.global_rank)
-        with ctx.cv:
-            key = self._match(ctx, tag)
-            if key is None:
-                return False, None
-            slot = ctx.slots.pop(key)
-            slot.taken = 1
-            obj = slot.contrib[0]
-        return True, self._deliver(obj, "recv")
+    # ------------------------------------------------------------------ #
+    # point-to-point
+    # ------------------------------------------------------------------ #
 
     def send(self, obj, dest: int, tag: int = 0) -> None:
-        """Blocking-buffered send to local rank ``dest``."""
+        """Buffered send to local rank ``dest``."""
         self._check_root(dest, "dest")
         self._inject("send")
         payload = self._wrap(obj)
-        ctx = self._p2p_context(self.global_rank, self.members[dest])
-        with ctx.cv:
-            seq = ctx.seq
-            ctx.seq += 1
-            slot = ctx.slots[seq] = _Slot(tag=int(tag))
-            slot.contrib[0] = payload
-            slot.complete = True
-            ctx.cv.notify_all()
+        rt = self.world
+        dest_g = self.members[dest]
+        rt.post(
+            dest_g,
+            ("p", self.comm_id, self.global_rank,
+             rt.next_seq(self.comm_id, dest_g), int(tag),
+             rt.transport.encode(payload, receivers=1)),
+        )
         self._record("send", payload_nbytes(payload), comm_size=2)
 
     def recv(self, source: int, tag: int = 0):
@@ -874,33 +942,31 @@ class SimComm:
         """
         self._check_root(source, "source")
         self._inject("recv")
-        ctx = self._p2p_context(self.members[source], self.global_rank)
-        matched: dict[str, int] = {}
+        rt = self.world
+        src_g = self.members[source]
+        channel = (self.comm_id, src_g)
+        wire = rt._wait(lambda: rt.match_p2p(channel, int(tag)), comm=self,
+                        op="recv", tag=tag, pending=lambda: (src_g,))
+        return self._deliver(rt.transport.decode(wire), "recv")
 
-        def ready() -> bool:
-            key = self._match(ctx, tag)
-            if key is None:
-                return False
-            matched["key"] = key
-            return True
-
-        with ctx.cv:
-            self._blocked_wait(
-                ctx, "recv", tag=tag, op_id=ctx.seq,
-                ready=ready,
-                pending=lambda: (self.members[source],),
-                abort_msg="recv aborted: a peer rank failed",
-            )
-            slot = ctx.slots.pop(matched["key"])
-            slot.taken = 1
-            obj = slot.contrib[0]
-        return self._deliver(obj, "recv")
+    def _try_recv(self, source: int, tag: int) -> tuple[bool, Any]:
+        """Claim the earliest matching message if one has arrived;
+        returns ``(claimed, obj_or_None)`` without blocking."""
+        self._check_root(source, "source")
+        rt = self.world
+        rt.drain()
+        body = rt.match_p2p((self.comm_id, self.members[source]), int(tag))
+        if body is _NOTHING:
+            return False, None
+        return True, self._deliver(rt.transport.decode(body), "recv")
 
     # ------------------------------------------------------------------ #
 
     def _check_root(self, root: int, name: str = "root") -> None:
         if not 0 <= root < self.size:
             raise CommError(f"{name} {root} out of range [0, {self.size})")
+
+
 
 
 class Request:
@@ -972,9 +1038,7 @@ def _reduce(values: list, op: str):
 
 def _normalize_alltoallv(sendlist, counts, size: int) -> list:
     """Normalise the two ``alltoallv`` calling conventions to one
-    per-destination payload list of length ``size`` (shared between the
-    threaded and process-backed communicators so validation and
-    count-splitting behave identically)."""
+    per-destination payload list of length ``size``."""
     if counts is not None:
         counts = [int(c) for c in counts]
         if len(counts) != size:

@@ -44,7 +44,7 @@ faults at the same instants, every run.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -217,10 +217,10 @@ class FaultPlan:
 class FaultInjector:
     """Executes a :class:`FaultPlan` against one SPMD run.
 
-    One injector per :class:`~repro.simmpi.comm.World`.  Attempt and
-    delivery counters are per ``(rank, op)``; since each rank runs on its
-    own thread and only touches its own counters, counting is lock-free.
-    The event log is shared and lock-protected.
+    One injector per SPMD run.  Attempt and delivery counters are per
+    ``(rank, op)``; since each rank runs on its own thread (or in its own
+    forked process) and only touches its own counters, counting is
+    lock-free.  The event log is shared and lock-protected.
     """
 
     def __init__(self, plan: FaultPlan | None = None) -> None:

@@ -70,9 +70,10 @@ class CommEvent:
 class CommTracker:
     """Thread-safe accumulator of :class:`CommEvent` records.
 
-    One tracker is shared by all ranks of an SPMD run.  To avoid counting
-    the same collective once per participant, only the *completing* rank of
-    each collective records it (the engine guarantees exactly one).
+    Each rank of an SPMD run records into its own tracker, and the engine
+    merges them into the caller's after the run.  To avoid counting the
+    same collective once per participant, exactly one rank of each
+    collective records it (the relay root, or the root of a broadcast).
     """
 
     def __init__(self) -> None:

@@ -6,6 +6,10 @@ itself never imports it.
 
 from __future__ import annotations
 
+import multiprocessing
+import threading
+import time
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -21,6 +25,31 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("repro")
+
+
+#: thread-name prefixes of the thread world's rank, spare and respawn workers
+RANK_THREAD_PREFIXES = ("simmpi-rank-", "simmpi-spare-", "simmpi-respawn-")
+
+
+@pytest.fixture(autouse=True)
+def no_leaked_rank_workers():
+    """Fail any test that leaves a rank worker behind: a live rank, spare
+    or respawn thread, or a child process.  Every exit path of
+    ``run_spmd`` must release its pools; a short grace lets workers that
+    are already on their way out finish."""
+    yield
+    deadline = time.monotonic() + 5.0
+    leaked = []
+    for t in threading.enumerate():
+        if t.name.startswith(RANK_THREAD_PREFIXES):
+            t.join(max(deadline - time.monotonic(), 0.0))
+            if t.is_alive():
+                leaked.append(t.name)
+    for proc in multiprocessing.active_children():
+        proc.join(max(deadline - time.monotonic(), 0.0))
+        if proc.is_alive():
+            leaked.append(f"{proc.name} (pid {proc.pid})")
+    assert not leaked, f"test leaked live rank workers: {leaked}"
 
 
 def to_scipy(m: SparseMatrix) -> sp.csc_matrix:

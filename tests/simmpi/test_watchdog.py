@@ -7,6 +7,10 @@ wait-for graph of blocked ranks and classifies: a cycle observed on two
 consecutive sweeps is a deadlock (raised *fast*, long before the flat
 timeout); a pending peer whose thread already returned can never arrive
 (peer-exited); anything else is slow progress and must NOT trip it.
+
+Both execution worlds share one supervisor and one classifier: every
+class runs in the thread world (``world = "threads"``) and again, through
+the ``...Processes`` subclasses at the bottom, in the process world.
 """
 
 import time
@@ -29,6 +33,8 @@ def _hang_failures(excinfo) -> dict:
 
 
 class TestDeadlockDetection:
+    world = "threads"
+
     def test_two_rank_recv_cycle_is_classified_fast(self):
         """rank 0 recvs from 1 while 1 recvs from 0: a provable cycle,
         raised well before the flat timeout and naming both ranks."""
@@ -42,7 +48,7 @@ class TestDeadlockDetection:
 
         t0 = time.monotonic()
         with pytest.raises(SpmdError) as info:
-            run_spmd(2, prog, timeout=TIMEOUT)
+            run_spmd(2, prog, timeout=TIMEOUT, world=self.world)
         elapsed = time.monotonic() - t0
         assert elapsed < TIMEOUT * 0.75, "deadlock should beat the flat timeout"
         hangs = _hang_failures(info)
@@ -59,7 +65,7 @@ class TestDeadlockDetection:
             return comm.recv(source=nxt, tag=0)
 
         with pytest.raises(SpmdError) as info:
-            run_spmd(3, prog, timeout=TIMEOUT)
+            run_spmd(3, prog, timeout=TIMEOUT, world=self.world)
         err = next(iter(_hang_failures(info).values()))
         assert err.kind == "deadlock"
         assert set(err.cycle) == {0, 1, 2}
@@ -73,7 +79,7 @@ class TestDeadlockDetection:
             return None
 
         with pytest.raises(SpmdError) as info:
-            run_spmd(2, prog, timeout=TIMEOUT)
+            run_spmd(2, prog, timeout=TIMEOUT, world=self.world)
         err = next(iter(_hang_failures(info).values()))
         assert err.dump, "HangError must carry a per-rank dump"
         for record in err.dump.values():
@@ -86,6 +92,8 @@ class TestDeadlockDetection:
 
 
 class TestPeerExited:
+    world = "threads"
+
     def test_collective_after_peer_returned(self):
         """A rank that returns without joining the barrier can never
         arrive — classified immediately, not after the flat timeout."""
@@ -98,7 +106,7 @@ class TestPeerExited:
 
         t0 = time.monotonic()
         with pytest.raises(SpmdError) as info:
-            run_spmd(3, prog, timeout=TIMEOUT)
+            run_spmd(3, prog, timeout=TIMEOUT, world=self.world)
         assert time.monotonic() - t0 < TIMEOUT * 0.75
         err = next(iter(_hang_failures(info).values()))
         assert err.kind == "peer-exited"
@@ -107,6 +115,8 @@ class TestPeerExited:
 
 
 class TestSlowIsNotHung:
+    world = "threads"
+
     def test_slow_rank_does_not_trip_watchdog(self):
         """A rank computing past several watchdog sweeps is slow, not
         hung: it holds no wait record, so no cycle can pass through it
@@ -118,7 +128,7 @@ class TestSlowIsNotHung:
             comm.barrier()
             return comm.allreduce(comm.rank)
 
-        results = run_spmd(3, prog, timeout=TIMEOUT)
+        results = run_spmd(3, prog, timeout=TIMEOUT, world=self.world)
         assert results == [3, 3, 3]
 
     def test_slow_p2p_sender_does_not_trip_watchdog(self):
@@ -129,10 +139,12 @@ class TestSlowIsNotHung:
                 return None
             return comm.recv(source=0, tag=5)
 
-        assert run_spmd(2, prog, timeout=TIMEOUT) == [None, 123]
+        assert run_spmd(2, prog, timeout=TIMEOUT, world=self.world) == [None, 123]
 
 
 class TestFlatTimeoutBackstop:
+    world = "threads"
+
     def test_unclassifiable_stall_still_times_out(self):
         """A stall with no cycle and no exited peer (the stuck rank never
         returns) falls back to the flat timeout with kind='timeout'."""
@@ -145,7 +157,23 @@ class TestFlatTimeoutBackstop:
             return None
 
         with pytest.raises(SpmdError) as info:
-            run_spmd(2, prog, timeout=1.5)
+            run_spmd(2, prog, timeout=1.5, world=self.world)
         err = next(iter(_hang_failures(info).values()))
         assert err.kind == "timeout"
         assert "timed out" in str(err)
+
+
+class TestDeadlockDetectionProcesses(TestDeadlockDetection):
+    world = "processes"
+
+
+class TestPeerExitedProcesses(TestPeerExited):
+    world = "processes"
+
+
+class TestSlowIsNotHungProcesses(TestSlowIsNotHung):
+    world = "processes"
+
+
+class TestFlatTimeoutBackstopProcesses(TestFlatTimeoutBackstop):
+    world = "processes"
